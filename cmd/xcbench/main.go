@@ -351,7 +351,7 @@ func main() {
 				cli.Fatal(err)
 			}
 			if !*jsonOut {
-				fmt.Println("cluster invariants OK: zero degradation, byte-identical totals, remote pruning live")
+				fmt.Println("cluster invariants OK: zero degradation, byte-identical totals, remote pruning live, one evaluation per scanned document")
 			}
 		}
 	}

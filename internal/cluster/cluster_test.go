@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -76,7 +78,8 @@ func (s *swapHandler) set(h http.Handler) {
 
 // testNode is one in-process cluster member.
 type testNode struct {
-	url     string
+	id      string // advertise URL: the node's identity on the ring
+	url     string // where the test's own HTTP client reaches it
 	st      *store.Store
 	node    *Node
 	srv     *httptest.Server
@@ -89,20 +92,45 @@ type testNode struct {
 // membership probers to converge.
 func startCluster(t *testing.T, nNodes, rf int, docs map[string][]byte) []*testNode {
 	t.Helper()
+	return startClusterProbing(t, nNodes, rf, docs, 25*time.Millisecond)
+}
+
+// startClusterProbing is startCluster with an explicit probe interval.
+// Every node's handler is installed before any prober starts, so the
+// first probe round — run at Start — already converges membership and
+// fetches every peer's catalog; a long interval then freezes that view.
+//
+// Nodes advertise fixed names (http://nodeN.test) that the peer client
+// dials to the servers' loopback ports, so ring placement — which
+// documents each node holds and is assigned — is the same on every run
+// instead of hashing random ports.
+func startClusterProbing(t *testing.T, nNodes, rf int, docs map[string][]byte, probe time.Duration) []*testNode {
+	t.Helper()
 	swaps := make([]*swapHandler, nNodes)
-	urls := make([]string, nNodes)
+	ids := make([]string, nNodes)
 	srvs := make([]*httptest.Server, nNodes)
+	addrs := make(map[string]string, nNodes)
 	for i := range swaps {
 		swaps[i] = &swapHandler{}
 		srvs[i] = httptest.NewServer(swaps[i])
-		urls[i] = srvs[i].URL
 		t.Cleanup(srvs[i].Close)
+		ids[i] = fmt.Sprintf("http://node%d.test", i)
+		addrs[fmt.Sprintf("node%d.test:80", i)] = srvs[i].Listener.Addr().String()
 	}
+	var dialer net.Dialer
+	transport := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if real, ok := addrs[addr]; ok {
+			addr = real
+		}
+		return dialer.DialContext(ctx, network, addr)
+	}}
+	t.Cleanup(transport.CloseIdleConnections)
+	client := &http.Client{Timeout: 60 * time.Second, Transport: transport}
 
-	ring := Build(urls, 0)
-	byURL := make(map[string]int, nNodes)
-	for i, u := range urls {
-		byURL[u] = i
+	ring := Build(ids, 0)
+	byID := make(map[string]int, nNodes)
+	for i, id := range ids {
+		byID[id] = i
 	}
 	dirs := make([]string, nNodes)
 	for i := range dirs {
@@ -111,7 +139,7 @@ func startCluster(t *testing.T, nNodes, rf int, docs map[string][]byte) []*testN
 	for name, doc := range docs {
 		raw := encodeArchive(t, doc)
 		for _, owner := range ring.Owners(name, rf) {
-			path := filepath.Join(dirs[byURL[owner]], name+store.Ext)
+			path := filepath.Join(dirs[byID[owner]], name+store.Ext)
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -126,21 +154,24 @@ func startCluster(t *testing.T, nNodes, rf int, docs map[string][]byte) []*testN
 		}
 		t.Cleanup(func() { st.Close() })
 		n, err := New(st, Config{
-			Self:              urls[i],
-			Peers:             urls,
+			Self:              ids[i],
+			Peers:             ids,
 			ReplicationFactor: rf,
-			ProbeInterval:     25 * time.Millisecond,
+			ProbeInterval:     probe,
 			ScatterTimeout:    20 * time.Second,
 			QueryTimeout:      20 * time.Second,
+			Client:            client,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
 		h := n.Handler(store.NewHandler(st, store.ServerOptions{}), 100)
 		swaps[i].set(h)
-		n.Start()
-		t.Cleanup(n.Stop)
-		nodes[i] = &testNode{url: urls[i], st: st, node: n, srv: srvs[i], swap: swaps[i], handler: h}
+		nodes[i] = &testNode{id: ids[i], url: srvs[i].URL, st: st, node: n, srv: srvs[i], swap: swaps[i], handler: h}
+	}
+	for _, tn := range nodes {
+		tn.node.Start()
+		t.Cleanup(tn.node.Stop)
 	}
 
 	waitFor(t, "membership convergence", func() bool {
@@ -216,7 +247,9 @@ func mustJSON(t *testing.T, v any) []byte {
 // TestClusterGoldenEqualsSingleNode is the acceptance gate: a 3-node
 // RF=2 cluster answers every corpus query byte-identically (modulo
 // timing fields) to a single node holding the whole catalog — first
-// with every node up, then with one replica killed outright.
+// with every node up, then with one replica killed but not yet marked
+// down (its documents must be hedged to their live holder), then with
+// that replica marked down.
 func TestClusterGoldenEqualsSingleNode(t *testing.T) {
 	docs := smallCorpora(t)
 
@@ -235,19 +268,16 @@ func TestClusterGoldenEqualsSingleNode(t *testing.T) {
 	refSrv := httptest.NewServer(store.NewHandler(refSt, store.ServerOptions{}))
 	defer refSrv.Close()
 
-	nodes := startCluster(t, 3, 2, docs)
+	// Probing hourly, membership changes only when the test (or the
+	// router's own failure handling) changes it.
+	nodes := startClusterProbing(t, 3, 2, docs, time.Hour)
+	queries := corpusQueries()
 
-	var queries []string
-	for _, c := range corpus.Catalog() {
-		for _, q := range c.Queries {
-			queries = append(queries, q)
-		}
-	}
-
-	runAll := func(tag string) (pruned, direct int) {
+	runAll := func(tag string, before func()) (pruned, direct int) {
 		t.Helper()
 		for _, q := range queries {
 			want := fetchFanout(t, refSrv.URL, q)
+			before()
 			got := fetchFanout(t, nodes[0].url, q)
 			if len(got.Failed) != 0 {
 				t.Errorf("%s: query %q degraded: %+v", tag, q, got.Failed)
@@ -264,23 +294,39 @@ func TestClusterGoldenEqualsSingleNode(t *testing.T) {
 		return pruned, direct
 	}
 
-	pruned, direct := runAll("full cluster")
+	pruned, direct := runAll("full cluster", func() {})
 	if pruned == 0 {
 		t.Errorf("no document was synopsis-pruned across %d clustered queries", len(queries))
 	}
 	t.Logf("full cluster: %d pruned, %d direct across %d queries", pruned, direct, len(queries))
 
-	// Kill one replica outright — no graceful shutdown — and wait for
-	// the survivors to notice. RF=2 means every document still has a
-	// live owner, so the answers must not change.
-	victim := nodes[2]
+	// Kill one replica outright — no graceful shutdown — and query before
+	// membership notices. The router marks the replica down as soon as a
+	// scatter to it fails, so before every query the prober's last
+	// (stale) verdict is restored: each query's first round asks the
+	// dead replica, and RF=2 means its documents are hedged to their
+	// other live holder without changing the answer. The victim is a
+	// peer the assignment gives documents, so there is something to hedge.
+	victim := busiestPeer(t, nodes, docs)
 	victim.srv.CloseClientConnections()
 	victim.srv.Close()
-	waitFor(t, "victim marked down", func() bool {
-		return !nodes[0].node.Membership().Up(victim.url) &&
-			!nodes[1].node.Membership().Up(victim.url)
-	})
-	runAll("one replica down")
+	mem := nodes[0].node.Membership()
+	hedged := nodes[0].node.m.hedgedDocs.Value()
+	runAll("replica killed, not yet marked down", func() { mem.record(victim.id, nil, nil) })
+	if nodes[0].node.m.hedgedDocs.Value() == hedged {
+		t.Errorf("no document was hedged away from the killed replica")
+	}
+
+	// Now marked down (by the router's failed scatter): its documents go
+	// straight to the surviving owners.
+	if mem.Up(victim.id) {
+		t.Fatalf("router did not mark the killed replica down")
+	}
+	hedged = nodes[0].node.m.hedgedDocs.Value()
+	runAll("one replica down", func() {})
+	if got := nodes[0].node.m.hedgedDocs.Value(); got != hedged {
+		t.Errorf("%d documents hedged with the dead replica known down; the assignment should avoid it", got-hedged)
+	}
 }
 
 // TestReplicationShipsPublishedDocs pins the ingest→replica pipeline: a
@@ -290,7 +336,7 @@ func TestReplicationShipsPublishedDocs(t *testing.T) {
 	nodes := startCluster(t, 3, 2, nil)
 	byURL := make(map[string]*testNode)
 	for _, tn := range nodes {
-		byURL[tn.url] = tn
+		byURL[tn.id] = tn
 	}
 
 	c := corpus.Catalog()[0]
@@ -303,7 +349,7 @@ func TestReplicationShipsPublishedDocs(t *testing.T) {
 
 	owners := nodes[0].node.Ring().Owners(name, 2)
 	for _, owner := range owners {
-		if owner == nodes[0].url {
+		if owner == nodes[0].id {
 			continue
 		}
 		tn := byURL[owner]
@@ -314,7 +360,7 @@ func TestReplicationShipsPublishedDocs(t *testing.T) {
 	// Tombstone: the published erase reaches the same owners.
 	nodes[0].node.Published(name, true)
 	for _, owner := range owners {
-		if owner == nodes[0].url {
+		if owner == nodes[0].id {
 			continue
 		}
 		tn := byURL[owner]
@@ -334,7 +380,7 @@ func TestReplicationRetriesThroughDownPeer(t *testing.T) {
 		http.Error(w, "partitioned", http.StatusBadGateway)
 	}))
 	waitFor(t, "victim probed down", func() bool {
-		return !nodes[0].node.Membership().Up(victim.url)
+		return !nodes[0].node.Membership().Up(victim.id)
 	})
 
 	c := corpus.Catalog()[0]
@@ -356,7 +402,7 @@ func TestReplicationRetriesThroughDownPeer(t *testing.T) {
 	// pending transfer without a new publish.
 	victim.swap.set(victim.handler)
 	waitFor(t, "victim probed up", func() bool {
-		return nodes[0].node.Membership().Up(victim.url)
+		return nodes[0].node.Membership().Up(victim.id)
 	})
 	waitFor(t, "pending transfer delivered", func() bool { return victim.st.Has(name) })
 	waitFor(t, "lag drains", func() bool { return nodes[0].node.Lag() == 0 })
@@ -545,7 +591,7 @@ func TestSingleDocForwarding(t *testing.T) {
 	ring := nodes[0].node.Ring()
 	var name, owner string
 	for dn := range docs {
-		if o := ring.Owners(dn, 1)[0]; o != nodes[0].url {
+		if o := ring.Owners(dn, 1)[0]; o != nodes[0].id {
 			name, owner = dn, o
 			break
 		}

@@ -137,12 +137,14 @@ func (h *clusterHandler) singleDoc(w http.ResponseWriter, r *http.Request, doc s
 	h.inner.ServeHTTP(w, r)
 }
 
-// peerQuery is the scatter endpoint peers call: the query signature is
-// checked against the local synopsis index *first*, and when it alone
-// proves every catalogued document empty the node answers without
-// compiling the query — the signature-first fast path. Admission and
-// timeout mirror the single-node /query contract, so the router's
-// degradation logic sees the same 429/504 surface.
+// peerQuery is the scatter endpoint peers call. The node answers for
+// its catalog minus the request's Skip list (documents the router
+// assigned to another holder). The query signature is checked against
+// the local synopsis index *first*, and when it alone proves every
+// unskipped document empty the node answers without compiling the
+// query — the signature-first fast path. Admission and timeout mirror
+// the single-node /query contract, so the router's degradation logic
+// sees the same 429/504 surface.
 func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeClusterError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
@@ -160,7 +162,9 @@ func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var pq PeerQuery
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&pq); err != nil {
+	// The Skip list is bounded by the catalog, so it gets the same
+	// allowance as a GET /cluster/docs listing.
+	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&pq); err != nil {
 		writeClusterError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %v", err))
 		return
 	}
@@ -173,7 +177,7 @@ func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if sig := xpath.SigFromWire(pq.Sig); sig.Prunable() {
-		names, prunable := h.n.st.SignaturePrune(sig)
+		names, prunable := h.n.st.SignaturePrune(sig, pq.Skip)
 		all := prunable != nil
 		for _, p := range prunable {
 			if !p {
@@ -202,7 +206,7 @@ func (h *clusterHandler) peerQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, h.n.cfg.QueryTimeout)
 		defer cancel()
 	}
-	resp, err := h.n.st.FanoutLocal(ctx, pq.Query, pq.Max)
+	resp, err := h.n.st.FanoutLocal(ctx, pq.Query, pq.Max, pq.Skip)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, context.DeadlineExceeded) {

@@ -32,16 +32,16 @@ type PeerState struct {
 // Membership.mu.
 type peer struct {
 	state PeerState
-	names []string // last-known catalog, for failure attribution
+	names []string // last-known catalog: scatter assignment and failure attribution
 }
 
 // Membership tracks the health of every other node: a background
 // prober drives /healthz with generation-numbered up/down transitions,
 // and on each successful probe refreshes the peer's catalog name list
-// (GET /cluster/docs) — the attribution the router needs to turn a
-// failed peer into per-document error entries, and the baseline the
-// replication-lag gauge compares pending transfers against. Peers
-// start down and join the routable set on their first successful
+// (GET /cluster/docs) — the catalog the router assigns documents from,
+// and the one it attributes to the peer once it is down, so that peer's
+// documents become per-document error entries instead of vanishing.
+// Peers start down and join the routable set on their first successful
 // probe.
 type Membership struct {
 	self     string

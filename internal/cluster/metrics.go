@@ -16,7 +16,8 @@ type clusterMetrics struct {
 	scatters     *obs.Counter // scatter-gather fan-outs routed
 	sigPruned    *obs.Counter // documents pruned by a wire signature before compile
 	mergedDocs   *obs.Counter // per-document results merged into responses
-	dedupedDocs  *obs.Counter // replica duplicates discarded (first healthy owner won)
+	dedupedDocs  *obs.Counter // duplicates of documents the assignment did not know of, discarded
+	hedgedDocs   *obs.Counter // documents re-asked of their next live holder
 	degradedDocs *obs.Counter // per-document error entries emitted for failed peers
 
 	replicated   *obs.Counter // documents successfully replicated to a peer
@@ -42,9 +43,11 @@ func newClusterMetrics(r *obs.Registry) *clusterMetrics {
 		mergedDocs: r.Counter("xc_cluster_merged_docs_total",
 			"Per-document results merged into cluster responses."),
 		dedupedDocs: r.Counter("xc_cluster_deduped_docs_total",
-			"Replica duplicates discarded during merge (first healthy owner wins)."),
+			"Duplicate per-document results discarded during merge (first owner wins). Each document is assigned to one holder, so only copies the router did not yet know of are evaluated twice."),
+		hedgedDocs: r.Counter("xc_cluster_hedged_docs_total",
+			"Documents re-asked of their next live holder after the assigned one failed, shed, timed out or did not return them."),
 		degradedDocs: r.Counter("xc_cluster_degraded_docs_total",
-			"Per-document error entries emitted for shed, timed-out or down peers."),
+			"Per-document error entries emitted for documents no live holder answered."),
 
 		replicated: r.Counter("xc_cluster_replicated_docs_total",
 			"Documents successfully replicated to a peer."),

@@ -13,15 +13,24 @@
 //     CRC verification and capped-backoff retries; a WAL-backed pending
 //     queue survives restarts, so no transfer is ever lost.
 //
-//   - routing (router.go): a scatter-gather QueryAll sends the compiled
-//     query *signature* with the query text to each live peer, so remote
-//     nodes prune against their local path-synopsis indexes before
-//     decoding anything — cross-node reads stay coordination-free, the
-//     same plan/prune-first discipline the single-node path uses. The
-//     router merges per-document results with replica dedup (first
-//     healthy owner wins) and degrades per peer: a shed (429), timed-out
-//     (504) or dead peer becomes that peer's per-document error entries,
-//     never a failed request.
+//   - routing (router.go): a scatter-gather QueryAll evaluates every
+//     document once. From the union of the catalogs it knows (its own
+//     and each peer's last-probed list, down peers included) the router
+//     assigns each document to the first ring owner among its live
+//     holders, else its first live holder, and sends each live peer the
+//     compiled query *signature*, the query text and a Skip list — the
+//     documents it holds but another target answers. Skip excludes
+//     rather than assigns, so a document that reached a peer after the
+//     last probe is still answered (the merge dedups that one case).
+//     Peers prune against their local path-synopsis indexes before
+//     decoding anything, so cross-node reads stay coordination-free, the
+//     same plan/prune-first discipline the single-node path uses. A
+//     document whose target sheds (429), times out (504), dies or does
+//     not return it is hedged to its next live holder within the same
+//     deadline, never after it; only a document with no holder left —
+//     all down ("no live holder"), failed by its last holder asked, or
+//     out of time — becomes a per-document error entry, never a failed
+//     request.
 //
 //   - membership (membership.go): /healthz-driven probing with
 //     generation-numbered up/down transitions feeding the router, the

@@ -39,6 +39,10 @@ type ClusterRow struct {
 	Pruned       int // per-document synopsis-pruned verdicts
 	Direct       int // per-document synopsis-direct verdicts
 	Degraded     int // per-document error entries (must stay 0)
+	// Evaluated sums every node's per-document evaluations (the store's
+	// Stats().Queries delta) over the timed rounds: one per scanned
+	// verdict, whatever the replication factor.
+	Evaluated uint64
 }
 
 // clusterSwap lets a server start before its handler exists (the node
@@ -156,7 +160,7 @@ func clusterCell(archives map[string][]byte, queries []string, nodes, rf, worker
 		defer st.Close()
 		srv := httptest.NewServer(store.NewHandler(st, store.ServerOptions{}))
 		defer srv.Close()
-		return driveClusterLoad(row, srv.URL, queries, rounds)
+		return driveClusterLoad(row, srv.URL, queries, rounds, []*store.Store{st})
 	}
 
 	swaps := make([]*clusterSwap, nodes)
@@ -191,12 +195,14 @@ func clusterCell(archives map[string][]byte, queries []string, nodes, rf, worker
 	}
 
 	cnodes := make([]*cluster.Node, nodes)
+	stores := make([]*store.Store, nodes)
 	for i := range cnodes {
 		st, err := store.Open(dirs[i], store.Options{Workers: workers})
 		if err != nil {
 			return row, err
 		}
 		defer st.Close()
+		stores[i] = st
 		n, err := cluster.New(st, cluster.Config{
 			Self:              urls[i],
 			Peers:             urls,
@@ -235,12 +241,20 @@ func clusterCell(archives map[string][]byte, queries []string, nodes, rf, worker
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	return driveClusterLoad(row, urls[0], queries, rounds)
+	return driveClusterLoad(row, urls[0], queries, rounds, stores)
 }
 
 // driveClusterLoad issues every query rounds times against base's
-// /query endpoint and folds the responses into the row.
-func driveClusterLoad(row ClusterRow, base string, queries []string, rounds int) (ClusterRow, error) {
+// /query endpoint and folds the responses, and the evaluations stores
+// performed meanwhile, into the row.
+func driveClusterLoad(row ClusterRow, base string, queries []string, rounds int, stores []*store.Store) (ClusterRow, error) {
+	evaluations := func() uint64 {
+		var n uint64
+		for _, st := range stores {
+			n += st.Stats().Queries
+		}
+		return n
+	}
 	client := &http.Client{Timeout: 120 * time.Second}
 	// One warm round outside the clock: first contact decodes archives
 	// into every node's cache, which is not what the sweep measures.
@@ -249,6 +263,7 @@ func driveClusterLoad(row ClusterRow, base string, queries []string, rounds int)
 			return row, err
 		}
 	}
+	evals0 := evaluations()
 	t0 := time.Now()
 	for r := 0; r < rounds; r++ {
 		for _, q := range queries {
@@ -264,6 +279,7 @@ func driveClusterLoad(row ClusterRow, base string, queries []string, rounds int)
 		}
 	}
 	row.Wall = time.Since(t0)
+	row.Evaluated = evaluations() - evals0
 	if row.Wall > 0 {
 		row.QPS = float64(row.Queries) / row.Wall.Seconds()
 	}
@@ -293,9 +309,11 @@ func fetchClusterFanout(client *http.Client, base, q string) (*store.FanoutRespo
 
 // CheckClusterInvariants enforces the sweep's correctness contract:
 // no request degraded, every configuration answered the same total
-// matches as the single-node baseline, and the synopsis kept pruning
+// matches as the single-node baseline, the synopsis kept pruning
 // remotely (clustered rows prune at least as many per-document verdicts
-// as the baseline — peers prune with the same sidecars).
+// as the baseline — peers prune with the same sidecars), and the
+// cluster evaluated every scanned verdict exactly once — not once per
+// replica.
 func CheckClusterInvariants(rows []ClusterRow) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("cluster invariant violated: no rows")
@@ -316,17 +334,22 @@ func CheckClusterInvariants(rows []ClusterRow) error {
 			return fmt.Errorf("cluster invariant violated: %d nodes rf %d pruned %d < single-node %d — peers are not pruning remotely",
 				r.Nodes, r.RF, r.Pruned, base.Pruned)
 		}
+		// With no degradation every response lists every document.
+		if scanned := r.Queries*r.Docs - r.Pruned - r.Direct; r.Evaluated != uint64(scanned) {
+			return fmt.Errorf("cluster invariant violated: %d nodes rf %d evaluated %d documents for %d scanned verdicts, want one evaluation each",
+				r.Nodes, r.RF, r.Evaluated, scanned)
+		}
 	}
 	return nil
 }
 
 // PrintCluster renders cluster-sweep rows as an aligned table.
 func PrintCluster(w io.Writer, rows []ClusterRow) {
-	fmt.Fprintf(w, "%6s %4s %8s %6s %8s %9s %10s %8s %8s %9s\n",
-		"nodes", "rf", "queries", "docs", "wall", "qps", "avg lat", "pruned", "direct", "matches")
+	fmt.Fprintf(w, "%6s %4s %8s %6s %8s %9s %10s %8s %8s %9s %9s\n",
+		"nodes", "rf", "queries", "docs", "wall", "qps", "avg lat", "pruned", "direct", "evaluated", "matches")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%6d %4d %8d %6d %8s %9.1f %10s %8d %8d %9d\n",
+		fmt.Fprintf(w, "%6d %4d %8d %6d %8s %9.1f %10s %8d %8d %9d %9d\n",
 			r.Nodes, r.RF, r.Queries, r.Docs, r.Wall.Round(time.Millisecond),
-			r.QPS, r.AvgLat.Round(time.Microsecond), r.Pruned, r.Direct, r.TotalMatches)
+			r.QPS, r.AvgLat.Round(time.Microsecond), r.Pruned, r.Direct, r.Evaluated, r.TotalMatches)
 	}
 }

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -285,5 +286,94 @@ func TestQueryTimeout504(t *testing.T) {
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Fatalf("%s: got %d, want 504", url, resp.StatusCode)
 		}
+	}
+}
+
+// vanishingLive lists one live document whose load then finds it
+// tombstoned — a DELETE landing between a fan-out's catalog snapshot
+// and its load, made deterministic.
+type vanishingLive struct{ name string }
+
+func (l vanishingLive) LiveDoc(name string) (*store.Doc, bool) { return nil, name == l.name }
+func (l vanishingLive) LiveSynopsis(name string) (*synopsis.Synopsis, bool) {
+	return nil, name == l.name
+}
+func (l vanishingLive) LiveNames() (live, deleted []string) { return []string{l.name}, nil }
+
+// TestFanoutOmitsDocDeletedMidQuery pins the deletion race: a document
+// that disappears between the fan-out's Names snapshot and its load is
+// omitted — its deleted state — not reported as a failure, on the
+// library, the local cluster fan-out and the HTTP faces alike, while a
+// single-document query for it still answers 404.
+func TestFanoutOmitsDocDeletedMidQuery(t *testing.T) {
+	dir := packDir(t, map[string][]byte{
+		"alpha": []byte("<r><a/></r>"),
+		"beta":  []byte("<r><a/><a/></r>"),
+	})
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetLive(vanishingLive{name: "ghost"})
+
+	for _, name := range []string{"ghost", "nowhere"} {
+		if _, err := s.Doc(name); !errors.Is(err, store.ErrNoDocument) {
+			t.Errorf("Doc(%q) = %v, want ErrNoDocument", name, err)
+		}
+	}
+
+	before := s.Stats()
+	out, err := s.QueryAll("//a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 || out[0].Name != "alpha" || out[1].Name != "beta" {
+		t.Fatalf("fan-out answered %+v, want exactly alpha and beta", out)
+	}
+	for _, br := range out {
+		if br.Err != nil {
+			t.Errorf("%s failed: %v", br.Name, br.Err)
+		}
+	}
+	after := s.Stats()
+	if got := after.Queries - before.Queries; got != 2 {
+		t.Errorf("fan-out counted %d evaluations, want 2 (the vanished doc was never evaluated)", got)
+	}
+	if after.DegradedDocs != before.DegradedDocs {
+		t.Errorf("a deleted document counted as degraded: %d -> %d", before.DegradedDocs, after.DegradedDocs)
+	}
+
+	local, err := s.FanoutLocal(context.Background(), "//a", 100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Failed) != 0 || len(local.Docs) != 2 {
+		t.Errorf("local fan-out = %d docs, failed %+v; want 2 docs and no failures", len(local.Docs), local.Failed)
+	}
+
+	srv := httptest.NewServer(store.NewHandler(s, store.ServerOptions{}))
+	defer srv.Close()
+	var fr store.FanoutResponse
+	resp, err := http.Get(srv.URL + "/query?q=//a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&fr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fr.Failed) != 0 || len(fr.Docs) != 2 || fr.TotalMatches != 3 {
+		t.Errorf("HTTP fan-out = %d docs, %d matches, failed %+v; want 2 docs, 3 matches, no failures",
+			len(fr.Docs), fr.TotalMatches, fr.Failed)
+	}
+	resp, err = http.Get(srv.URL + "/query?doc=ghost&q=//a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("single-document query for the deleted doc: %d, want 404", resp.StatusCode)
 	}
 }

@@ -139,16 +139,18 @@ func writeDurable(s *Store, path string, data []byte) error {
 	return nil
 }
 
-// FanoutLocal evaluates query against this node's whole catalog and
-// renders one QueryResponse per document with an *independent*
-// per-document paths cap — unlike the HTTP handler's fan-out, which
-// spends one shared budget across documents in catalog order. The
-// cluster router needs the uncapped-per-doc form: it merges several
-// nodes' partial fan-outs, re-sorts into global catalog order, and only
-// then applies the shared budget, which reproduces the single-node
-// truncation exactly no matter how documents were distributed.
-func (s *Store) FanoutLocal(ctx context.Context, query string, maxPerDoc int) (*FanoutResponse, error) {
-	results, tr, err := s.QueryAllTraceCtx(ctx, query, false)
+// FanoutLocal evaluates query against this node's catalog minus the
+// names in skip — the documents a cluster router assigned to another
+// node — and renders one QueryResponse per document with an
+// *independent* per-document paths cap, unlike the HTTP handler's
+// fan-out, which spends one shared budget across documents in catalog
+// order. The cluster router needs the uncapped-per-doc form: it merges
+// several nodes' partial fan-outs, re-sorts into global catalog order,
+// and only then applies the shared budget, which reproduces the
+// single-node truncation exactly no matter how documents were
+// distributed. Names in skip the catalog does not hold are ignored.
+func (s *Store) FanoutLocal(ctx context.Context, query string, maxPerDoc int, skip []string) (*FanoutResponse, error) {
+	results, tr, err := s.fanout(ctx, query, false, skip)
 	if err != nil {
 		s.CloseTrace(tr, err)
 		return nil, err
@@ -176,16 +178,16 @@ func (s *Store) FanoutLocal(ctx context.Context, query string, maxPerDoc int) (*
 }
 
 // SignaturePrune tests a query signature — typically one shipped by a
-// cluster peer ahead of the query text — against every catalogued
-// document's synopsis: the signature-first admission check of the
-// scatter-gather protocol. It returns the catalog names in serving
+// cluster peer ahead of the query text — against the synopsis of every
+// catalogued document not in skip: the signature-first admission check
+// of the scatter-gather protocol. It returns those names in serving
 // order, and a parallel prunable mask marking documents the signature
-// alone proves empty. A node whose whole catalog is prunable answers a
-// scatter without compiling the query, let alone decoding a document.
-// With the synopsis index disabled (or a signature carrying no
-// checkable facts) nothing is prunable and the mask is nil.
-func (s *Store) SignaturePrune(sig *xpath.Signature) (names []string, prunable []bool) {
-	names = s.Names()
+// alone proves empty. A node whose whole unskipped catalog is prunable
+// answers a scatter without compiling the query, let alone decoding a
+// document. With the synopsis index disabled (or a signature carrying
+// no checkable facts) nothing is prunable and the mask is nil.
+func (s *Store) SignaturePrune(sig *xpath.Signature, skip []string) (names []string, prunable []bool) {
+	names = s.namesExcept(skip)
 	if s.syn == nil {
 		return names, nil
 	}

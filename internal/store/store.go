@@ -580,6 +580,25 @@ func (s *Store) Names() []string {
 	return merged
 }
 
+// namesExcept is Names minus the names in skip.
+func (s *Store) namesExcept(skip []string) []string {
+	names := s.Names()
+	if len(skip) == 0 {
+		return names
+	}
+	drop := make(map[string]bool, len(skip))
+	for _, n := range skip {
+		drop[n] = true
+	}
+	kept := names[:0]
+	for _, n := range names {
+		if !drop[n] {
+			kept = append(kept, n)
+		}
+	}
+	return kept
+}
+
 // Doc returns the decoded document named name — the live (memtable)
 // version if one exists, else the archived one, loading and caching it
 // on first use. Concurrent callers for the same archive share one
@@ -598,7 +617,7 @@ func (s *Store) doc(name string, tr *obs.Trace) (*Doc, error) {
 		if d, deleted := l.LiveDoc(name); d != nil {
 			return d, nil
 		} else if deleted {
-			return nil, fmt.Errorf("store: no document %q", name)
+			return nil, fmt.Errorf("%w %q", ErrNoDocument, name)
 		}
 	}
 	for attempt := 0; ; attempt++ {
@@ -606,7 +625,7 @@ func (s *Store) doc(name string, tr *obs.Trace) (*Doc, error) {
 		e, ok := s.entries[name]
 		if !ok {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("store: no document %q", name)
+			return nil, fmt.Errorf("%w %q", ErrNoDocument, name)
 		}
 		if d := s.touchLocked(e); d != nil {
 			s.mu.Unlock()
@@ -694,6 +713,11 @@ var (
 	// ErrUnavailable marks writes rejected because the ingester has shut
 	// down; the client should retry against a live server.
 	ErrUnavailable = errors.New("ingest unavailable")
+	// ErrNoDocument marks reads of a name that is not (or no longer)
+	// servable: never catalogued, tombstoned, or removed. A fan-out
+	// omits such a document, which is the correct answer for a document
+	// deleted after the fan-out listed the catalog.
+	ErrNoDocument = errors.New("store: no document")
 )
 
 // AddArchive swaps a (new or replacement) archive file into the catalog
@@ -1165,8 +1189,18 @@ func (s *Store) QueryAllTrace(query string, force bool) ([]core.BatchResult, *ob
 // error is returned as the call error with nil results — the fan-out
 // has no complete answer to give. Per-document failures (corrupt
 // archives included) still land in their result slots and never fail
-// the call.
+// the call; a document deleted after the catalog snapshot is omitted.
 func (s *Store) QueryAllTraceCtx(ctx context.Context, query string, force bool) ([]core.BatchResult, *obs.Trace, error) {
+	return s.fanout(ctx, query, force, nil)
+}
+
+// fanout is the one catalog fan-out every caller goes through: it
+// evaluates query over the catalog minus the names in skip (the
+// documents a cluster router assigned to another node) and returns the
+// results in name order. A document that disappears between the
+// catalog snapshot and its load (ErrNoDocument) is omitted: it was
+// deleted while the fan-out ran, and absence is its answer.
+func (s *Store) fanout(ctx context.Context, query string, force bool, skip []string) ([]core.BatchResult, *obs.Trace, error) {
 	tr := s.newTrace(query, "", force)
 	t0 := tr.Now()
 	prog, err := s.Program(query)
@@ -1177,19 +1211,19 @@ func (s *Store) QueryAllTraceCtx(ctx context.Context, query string, force bool) 
 	pl, chain := s.planFor(query, prog)
 	tr.Record(obs.StagePlan, t0)
 	eval := pl.Prog
-	names := s.Names()
+	names := s.namesExcept(skip)
 	out := make([]core.BatchResult, len(names))
 	docs := make([]*Doc, len(names))
 	t0 = tr.Now()
-	skip := s.pruneSet(prog, names, out)
+	done := s.pruneSet(prog, names, out)
 	tr.Record(obs.StagePrune, t0)
 	t0 = tr.Now()
-	skip = s.directSet(pl, chain, eval, names, out, skip)
+	done = s.directSet(pl, chain, eval, names, out, done)
 	tr.Record(obs.StageDirect, t0)
 	t0 = tr.Now()
 	err = s.forEachCtx(ctx, len(names), func(i int) {
 		out[i].Name = names[i]
-		if skip != nil && skip[i] {
+		if done != nil && done[i] {
 			return
 		}
 		docs[i], out[i].Err = s.doc(names[i], tr)
@@ -1202,10 +1236,9 @@ func (s *Store) QueryAllTraceCtx(ctx context.Context, query string, force bool) 
 		return nil, tr, err
 	}
 
-	scanned := uint64(len(names))
 	t0 = tr.Now()
 	err = s.forEachCtx(ctx, len(names), func(i int) {
-		if out[i].Err != nil || (skip != nil && skip[i]) {
+		if out[i].Err != nil || (done != nil && done[i]) {
 			return
 		}
 		out[i].Result, out[i].Err = docs[i].Run(eval)
@@ -1217,16 +1250,21 @@ func (s *Store) QueryAllTraceCtx(ctx context.Context, query string, force bool) 
 	if err != nil {
 		return nil, tr, err
 	}
-	if skip != nil {
-		for _, sk := range skip {
-			if sk {
-				scanned--
-			}
+	scanned := uint64(0)
+	kept := out[:0]
+	for i := range out {
+		if errors.Is(out[i].Err, ErrNoDocument) {
+			continue
 		}
+		if done == nil || !done[i] {
+			scanned++
+		}
+		kept = append(kept, out[i])
 	}
+	out = kept
 	s.m.queries.Add(scanned)
 	if tr != nil {
-		tr.Considered = len(names)
+		tr.Considered = len(out)
 		for i := range out {
 			switch {
 			case out[i].Pruned:
@@ -1361,10 +1399,11 @@ func (s *Store) forEachCtx(ctx context.Context, n int, fn func(i int)) error {
 // query: every one counts as a degraded serve, and decode corruption
 // additionally queues the artifact as a scrub suspect so the background
 // scrubber verifies and quarantines it instead of the read path
-// tripping over it forever. Cancellation errors are the caller's doing,
-// not degradation.
+// tripping over it forever. Cancellation errors are the caller's doing
+// and a missing document is an answer; neither is degradation.
 func (s *Store) noteDocFailure(name string, err error) {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, ErrNoDocument) {
 		return
 	}
 	s.m.degradedDocs.Inc()
