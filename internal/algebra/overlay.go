@@ -30,15 +30,7 @@ func OvLabel(ov *dag.Overlay, name string, dst int) {
 	if id == label.Invalid {
 		return
 	}
-	if !ov.Rewritten() {
-		d.CopyFrom(ov.Frozen().LabelCol(id))
-		return
-	}
-	for _, v := range ov.Order() {
-		if ov.Labels(v).Has(id) {
-			d.Set(v)
-		}
-	}
+	ov.FillLabel(d, id)
 }
 
 // OvAll sets dst := V (every live vertex).
@@ -104,6 +96,9 @@ func OvRootFilter(ov *dag.Overlay, a, dst int) {
 // spare column indices the composed axes (following, preceding) may
 // clobber.
 func OvApplyAxis(ov *dag.Overlay, axis Axis, src, dst, scratchA, scratchB int) {
+	if ovShortcut(ov, axis, src, dst) {
+		return
+	}
 	switch axis {
 	case Self:
 		ov.Col(dst).CopyFrom(ov.Col(src))
@@ -124,6 +119,35 @@ func OvApplyAxis(ov *dag.Overlay, axis Axis, src, dst, scratchA, scratchB int) {
 	default:
 		panic("algebra: unknown overlay axis " + axis.String())
 	}
+}
+
+// ovShortcut answers, in O(words), the axis applications whose full pass
+// is known to select a trivially described set without splitting any
+// vertex — so, like the pass, it leaves the graph and its live counts
+// untouched:
+//
+//   - every axis of ∅ is ∅;
+//   - descendant-or-self of a set holding the root is every live vertex,
+//     and descendant of it every live vertex but the root;
+//   - child of every live vertex is every live vertex but the root.
+//
+// Every //-rooted query starts with the last two, descendant-or-self of
+// {root} followed by child of V. It reports whether it answered.
+func ovShortcut(ov *dag.Overlay, axis Axis, src, dst int) bool {
+	s, d := ov.Col(src), ov.Col(dst)
+	switch {
+	case s.Empty():
+		d.Zero()
+		return true
+	case axis == DescendantOrSelf && s.Get(ov.Root()):
+		ov.FillLive(d)
+		return true
+	case axis == Descendant && s.Get(ov.Root()), axis == Child && ov.IsLive(s):
+		ov.FillLive(d)
+		d.Clear(ov.Root())
+		return true
+	}
+	return false
 }
 
 // ovUpward computes parent / ancestor / ancestor-or-self bottom-up in one

@@ -221,6 +221,16 @@ func (r *Result) runFallbackLocked() {
 	fr.mu.Unlock()
 }
 
+// Resolve runs a synopsis-direct count result's pending fallback
+// evaluation now, so that a later Paths or Instance call finds the
+// selection ready. It is a no-op for every other result. A fan-out that
+// knows which results it will render calls it on its worker pool.
+func (r *Result) Resolve() {
+	r.mu.Lock()
+	r.runFallbackLocked()
+	r.mu.Unlock()
+}
+
 // Paths returns the tree addresses (1-based child positions joined with
 // '.', root = "") of up to max selected nodes, in document order — the
 // paper's result "decoding" step, computed with a traversal pruned to the

@@ -24,6 +24,21 @@ func (b Bitset) Set(v VertexID) {
 	b[uint(v)>>6] |= 1 << (uint(v) & 63)
 }
 
+// Clear removes vertex v from the set. v must be < 64*len(b).
+func (b Bitset) Clear(v VertexID) {
+	b[uint(v)>>6] &^= 1 << (uint(v) & 63)
+}
+
+// Empty reports whether no bit is set.
+func (b Bitset) Empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Zero clears every bit in place.
 func (b Bitset) Zero() {
 	for i := range b {

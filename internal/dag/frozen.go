@@ -36,11 +36,25 @@ type Frozen struct {
 // Freeze wraps in as an immutable base. The caller must not mutate in (or
 // its schema) afterwards; run queries against it with engine.RunFrozen,
 // or clone it for the consuming engine.Run path.
+//
+// Freeze packs every vertex's edge list into one contiguous array laid
+// out in the cached topological order and re-slices each Verts[v].Edges
+// into it (cap == len, so a later append reallocates instead of writing
+// into a neighbour). Every overlay pass walks the order, so its edge
+// reads then stream through memory instead of chasing one allocation
+// per vertex.
 func Freeze(in *Instance) *Frozen {
+	order := in.TopoOrder()
+	packed := make([]Edge, 0, in.NumEdges())
+	for _, v := range order {
+		start := len(packed)
+		packed = append(packed, in.Verts[v].Edges...)
+		in.Verts[v].Edges = packed[start:len(packed):len(packed)]
+	}
 	return &Frozen{
 		inst:      in,
-		order:     in.TopoOrder(),
-		edges:     in.NumEdges(),
+		order:     order,
+		edges:     len(packed),
 		labelCols: make(map[label.ID]Bitset),
 	}
 }

@@ -42,8 +42,9 @@ type Overlay struct {
 	extOrigin []VertexID // base origin of each extension vertex
 
 	cols   []Bitset
-	ncols  int // columns active for the current program (cols may retain more from pooled reuse)
-	nwords int // words per column at the current vertex count
+	ncols  int    // columns active for the current program (cols may retain more from pooled reuse)
+	nwords int    // words per column at the current vertex count
+	carry  []bool // carry[i]: a rewrite carries column i's bits onto the new graph
 
 	// Live-graph bookkeeping; order == nil means no rewrite has happened
 	// and the base graph (all of it live) is current. The order alternates
@@ -130,15 +131,6 @@ func (o *Overlay) Edges(v VertexID) []Edge {
 	return o.ext[int(v)-o.nb].Edges
 }
 
-// Labels returns the base label set of v, reading extension vertices
-// through their origin. Read-only.
-func (o *Overlay) Labels(v VertexID) label.Set {
-	if int(v) < o.nb {
-		return o.base.Verts[v].Labels
-	}
-	return o.base.Verts[o.extOrigin[int(v)-o.nb]].Labels
-}
-
 // Order returns a topological order (parents before children) of the live
 // graph: the frozen base order before any rewrite, the overlay-maintained
 // order after. Read-only.
@@ -153,8 +145,9 @@ func (o *Overlay) Order() []VertexID {
 func (o *Overlay) LiveCounts() (verts, edges int) { return o.liveVerts, o.liveEdges }
 
 // EnsureCols makes n columns active, each sized to the current vertex
-// count and zeroed. Pooled columns beyond n stay allocated for future
-// reuse but are ignored by every operator and rewrite.
+// count and zeroed, and all of them carried by rewrites until SetCarry
+// narrows that. Pooled columns beyond n stay allocated for future reuse
+// but are ignored by every operator and rewrite.
 func (o *Overlay) EnsureCols(n int) {
 	for len(o.cols) < n {
 		o.cols = append(o.cols, nil)
@@ -164,6 +157,26 @@ func (o *Overlay) EnsureCols(n int) {
 		o.cols[i] = growWords(o.cols[i], o.nwords)
 		o.cols[i].Zero()
 	}
+	if cap(o.carry) < n {
+		o.carry = make([]bool, n)
+	}
+	o.carry = o.carry[:n]
+	for i := range o.carry {
+		o.carry[i] = true
+	}
+}
+
+// SetCarry names the columns the next rewrites must carry onto the new
+// graph: the registers still read later (and the result). Every other
+// column is only resized and cleared by a rewrite, which is safe because
+// every operator fully overwrites its destination.
+func (o *Overlay) SetCarry(regs []int) {
+	for i := range o.carry {
+		o.carry[i] = false
+	}
+	for _, r := range regs {
+		o.carry[r] = true
+	}
 }
 
 // Col returns column i.
@@ -171,6 +184,50 @@ func (o *Overlay) Col(i int) Bitset { return o.cols[i] }
 
 // ZeroCol clears column i.
 func (o *Overlay) ZeroCol(i int) { o.cols[i].Zero() }
+
+// IsLive reports whether b is exactly the live vertex set.
+func (o *Overlay) IsLive(b Bitset) bool {
+	if o.order != nil {
+		for i, w := range b {
+			if w != o.live[i] {
+				return false
+			}
+		}
+		return true
+	}
+	full := o.nb >> 6
+	for i := 0; i < full; i++ {
+		if b[i] != ^uint64(0) {
+			return false
+		}
+	}
+	if rem := uint(o.nb) & 63; rem != 0 {
+		return b[full] == (1<<rem)-1
+	}
+	return true
+}
+
+// FillLabel sets dst to the live vertices whose base label set holds id:
+// the frozen base's cached column masked to the live set, plus every live
+// extension vertex whose origin carries the label.
+func (o *Overlay) FillLabel(dst Bitset, id label.ID) {
+	col := o.f.LabelCol(id)
+	if o.order == nil {
+		copy(dst, col)
+		return
+	}
+	for i, w := range col {
+		dst[i] = w & o.live[i]
+	}
+	for i := len(col); i < len(dst); i++ {
+		dst[i] = 0
+	}
+	for k, origin := range o.extOrigin {
+		if v := VertexID(o.nb + k); o.live.Get(v) && col.Get(origin) {
+			dst.Set(v)
+		}
+	}
+}
 
 // FillLive sets dst to exactly the live vertex set.
 func (o *Overlay) FillLive(dst Bitset) {
@@ -241,8 +298,8 @@ func (o *Overlay) KeepPlanScratch(buf []Edge) { o.planBuf = buf[:0] }
 
 // Rewrite is one decompressing-axis rewrite in progress. Append adds
 // extension vertices; Finish installs the new root, extends every column
-// to the new vertices (inheriting each new vertex's pre-rewrite bits) and
-// recomputes the live set and topological order.
+// to the new vertices (the carried ones inheriting each new vertex's
+// pre-rewrite bits) and recomputes the live set and topological order.
 type Rewrite struct {
 	o     *Overlay
 	oldN  int
@@ -273,12 +330,13 @@ func (r *Rewrite) Append(pre VertexID, edges []Edge) VertexID {
 }
 
 // Finish completes the rewrite: newRoot becomes the current root, all
-// columns grow to the new vertex count with each new vertex inheriting
-// its pre-rewrite source's bits, the live set, topological order and
-// live size counters are rebuilt, and every column is masked down to the
-// new live set (a split vertex's abandoned identity must not keep stale
-// selection bits). A rewrite that appended nothing left the graph
-// untouched and costs nothing.
+// columns grow to the new vertex count, the live set, topological order
+// and live size counters are rebuilt, and every carried column (see
+// SetCarry) has each new vertex inherit its pre-rewrite source's bits and
+// is masked down to the new live set (a split vertex's abandoned identity
+// must not keep stale selection bits). Columns that are not carried are
+// cleared. A rewrite that appended nothing left the graph untouched and
+// costs nothing.
 //
 // The new live graph is derived from the caller's need/rep scratch state
 // (NeedScratch, RepScratch) rather than re-traversed: the live vertices
@@ -302,14 +360,17 @@ func (r *Rewrite) Finish(newRoot VertexID, liveEdges int) {
 	n := o.N()
 	o.nwords = bitsetWords(n)
 
-	// Extend every active column: new vertices inherit their source's
-	// bits, so registers written before this rewrite stay valid on the
-	// new graph.
+	// Extend every active column. Carried ones inherit, for each new
+	// vertex, its source's bits, so registers written before this rewrite
+	// and read after it stay valid on the new graph; the rest are only
+	// resized and cleared.
 	for ci := 0; ci < o.ncols; ci++ {
-		if o.cols[ci] == nil {
+		col := growWords(o.cols[ci], o.nwords)
+		o.cols[ci] = col
+		if !o.carry[ci] {
+			col.Zero()
 			continue
 		}
-		col := growWords(o.cols[ci], o.nwords)
 		// Clear the words beyond the old length (growWords does not).
 		for w := bitsetWords(r.oldN); w < o.nwords; w++ {
 			col[w] = 0
@@ -323,7 +384,6 @@ func (r *Rewrite) Finish(newRoot VertexID, liveEdges int) {
 				col.Set(VertexID(r.oldN + k))
 			}
 		}
-		o.cols[ci] = col
 	}
 
 	// New order: each old live vertex contributes its requested
@@ -362,7 +422,10 @@ func (r *Rewrite) Finish(newRoot VertexID, liveEdges int) {
 
 	// Maintain the columns-hold-only-live-bits invariant: vertices
 	// replaced by copies (or orphaned by the rewrite) are dead now.
-	for _, col := range o.cols[:o.ncols] {
+	for ci, col := range o.cols[:o.ncols] {
+		if !o.carry[ci] {
+			continue
+		}
 		for i := range col {
 			col[i] &= o.live[i]
 		}
@@ -431,9 +494,10 @@ func ForEachBit(b Bitset, fn func(VertexID)) {
 
 // Detach moves the result selection in column reg out of the pooled
 // overlay into a standalone ResultView: the selected vertex IDs (an
-// O(result) slice) plus the extension vertices, whose backing array the
-// view takes over (a detached extension must survive the overlay's
-// reuse). The overlay remains usable until Release.
+// O(result) slice), their tree-node count (SelectedTree, which lets path
+// decoding stop at the last answer) plus the extension vertices, whose
+// backing array the view takes over (a detached extension must survive
+// the overlay's reuse). The overlay remains usable until Release.
 func (o *Overlay) Detach(reg int) *ResultView {
 	col := o.cols[reg]
 	sel := make([]VertexID, 0, col.Count())
@@ -442,6 +506,7 @@ func (o *Overlay) Detach(reg int) *ResultView {
 		f:    o.f,
 		root: o.root,
 		sel:  sel,
+		tree: o.SelectedTree(reg),
 	}
 	if len(o.ext) > 0 {
 		v.ext = o.ext

@@ -25,10 +25,14 @@ type ResultView struct {
 	ext       []Vertex   // extension vertices; Labels nil, read via origin
 	extOrigin []VertexID // base origin of each extension vertex
 	sel       []VertexID // selected vertex IDs, ascending
+	tree      uint64     // selected tree nodes (saturating)
 }
 
 // SelectedDAG returns the number of selected graph vertices.
 func (v *ResultView) SelectedDAG() int { return len(v.sel) }
+
+// SelectedTree returns the number of tree nodes the selection represents.
+func (v *ResultView) SelectedTree() uint64 { return v.tree }
 
 // Selected returns the selected vertex IDs, ascending. Read-only.
 func (v *ResultView) Selected() []VertexID { return v.sel }
@@ -63,13 +67,19 @@ func (v *ResultView) selBits() Bitset {
 
 // Paths enumerates the tree addresses of up to max selected nodes in
 // document order, straight off the view — the base is not cloned and no
-// instance is materialized.
+// instance is materialized. The walk (see selectedPaths) stops once it
+// has emitted every selected tree node and reads only the part of the
+// graph the answer needs, so a root-only selection costs O(1).
 func (v *ResultView) Paths(max int) []string {
-	if len(v.sel) == 0 || max <= 0 || v.root == NilVertex {
+	return v.paths(max, v.edges)
+}
+
+// paths is Paths over the given edge accessor.
+func (v *ResultView) paths(max int, edges func(VertexID) []Edge) []string {
+	if max <= 0 || v.root == NilVertex {
 		return nil
 	}
-	sel := v.selBits()
-	return selectedPathsFrom(v.root, len(v.f.inst.Verts)+len(v.ext), v.edges, sel.Get, max)
+	return selectedPaths(v.root, len(v.f.inst.Verts)+len(v.ext), edges, v.sel, v.tree, max)
 }
 
 // Materialize builds a standalone Instance carrying the result: the live

@@ -36,9 +36,9 @@ func RunFrozen(f *dag.Frozen, prog *xpath.Program) (*Result, error) {
 	}
 
 	res.VertsAfter, res.EdgesAfter = ov.LiveCounts()
-	res.SelectedDAG = ov.CountCol(prog.Result)
-	res.SelectedTree = ov.SelectedTree(prog.Result)
 	res.View = ov.Detach(prog.Result)
+	res.SelectedDAG = res.View.SelectedDAG()
+	res.SelectedTree = res.View.SelectedTree()
 	res.Label = label.Invalid
 	return res, nil
 }
@@ -75,7 +75,7 @@ func runOverlay(ov *dag.Overlay, prog *xpath.Program) error {
 	scratchA, scratchB := prog.NumTemp, prog.NumTemp+1
 	ov.EnsureCols(prog.NumTemp + 2)
 
-	for _, in := range prog.Instrs {
+	for i, in := range prog.Instrs {
 		switch in.Op {
 		case xpath.OpLabel:
 			algebra.OvLabel(ov, in.Name, in.Dst)
@@ -84,6 +84,9 @@ func runOverlay(ov *dag.Overlay, prog *xpath.Program) error {
 		case xpath.OpRoot:
 			algebra.OvRoot(ov, in.Dst)
 		case xpath.OpAxis:
+			if i < len(prog.Carry) { // else (a hand-built program) carry every column
+				ov.SetCarry(prog.Carry[i])
+			}
 			algebra.OvApplyAxis(ov, in.Axis, in.A, in.Dst, scratchA, scratchB)
 		case xpath.OpUnion:
 			algebra.OvUnion(ov, in.A, in.B, in.Dst)

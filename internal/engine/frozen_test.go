@@ -155,6 +155,43 @@ func TestOverlayAxes(t *testing.T) {
 	}
 }
 
+// TestOverlayRewriteRegressions pins two failure shapes of rewrites that
+// carry only live registers, both first found by the random property
+// tests: a downward step after an earlier rewrite (//t0/t2, where the
+// columns a rewrite does not carry must come out cleared, not holding
+// the stale words of a pooled overlay), and following/preceding steps
+// after a rewrite (their scratch columns are never carried). Each query
+// runs on a large document first and then on a small one, so the pooled
+// overlay's columns arrive holding stale words past the small document's
+// vertex count.
+func TestOverlayRewriteRegressions(t *testing.T) {
+	doc := []byte(`<t0><t1><t2/><t0><t2/><t1/></t0></t1><t2><t0><t2/></t0><t1><t2/></t1></t2>` +
+		`<t1><t2/><t0/></t1><t0><t1><t2/></t1><t2/></t0></t0>`)
+	var big []byte
+	for seed := int64(1); len(big) < 20000; seed++ {
+		big = dagtest.RandomXML(rand.New(rand.NewSource(seed)), 4000, 6, 3)
+	}
+	queries := []string{
+		`//t0/t2`,
+		`//t0/t1/t2`,
+		`//t2/t0/t2`,
+		`//t0/t2/following::t1`,
+		`//t0/t1/preceding::t2`,
+		`//t1/t2[following::t0]`,
+		`//t0/t2[preceding::t1]/following::*`,
+		`//t1/t0[following-sibling::t1]/t2`,
+		`//t2[not(following::t2)]`,
+	}
+	for _, q := range queries {
+		prog, err := xpath.CompileQuery(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		compareCloneOverlay(t, buildFor(t, big, prog), prog, q+" (large)")
+		compareCloneOverlay(t, buildFor(t, doc, prog), prog, q)
+	}
+}
+
 // TestOverlayPropertyRandom cross-checks clone and overlay evaluation on
 // random trees and random queries.
 func TestOverlayPropertyRandom(t *testing.T) {

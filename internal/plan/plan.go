@@ -159,6 +159,7 @@ func reorder(p *xpath.Program, est Estimator) (*xpath.Program, bool) {
 		Strings: p.Strings,
 		Sig:     p.Sig,
 		Chain:   p.Chain,
+		Carry:   xpath.CarrySets(out, res),
 	}
 	for _, in := range out {
 		if in.Op == xpath.OpAxis && !in.Axis.Upward() {
@@ -400,5 +401,6 @@ func rebuildWithOrder(p *xpath.Program, def, uses []int, chain int, order []int)
 		Downward: p.Downward,
 		Sig:      p.Sig,
 		Chain:    p.Chain,
+		Carry:    xpath.CarrySets(out, res),
 	}
 }

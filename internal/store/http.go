@@ -324,7 +324,8 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
-	results, tr, err := h.store.QueryAllTraceCtx(ctx, q, wantTrace)
+	budget := pathBudget{max: max}
+	results, tr, err := h.store.fanout(ctx, q, wantTrace, nil, budget)
 	if err != nil {
 		h.store.CloseTrace(tr, err)
 		if st, ok := h.ctxStatus(err); ok {
@@ -334,17 +335,72 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	wall := time.Since(t0)
 	m0 := tr.Now()
-	resp := FanoutResponse{Query: q, Docs: []QueryResponse{}, WallNanos: int64(time.Since(t0)), Workers: h.store.Workers()}
-	// max caps the addresses of the whole response, not of each document:
-	// documents early in catalog order consume the budget first.
-	remaining := max
+	resp := renderFanout(q, results, budget, h.store.Workers())
+	resp.WallNanos = int64(wall)
+	tr.Record(obs.StageMaterialize, m0)
+	h.store.CloseTrace(tr, nil)
+	if wantTrace {
+		resp.Trace = traceInfo(tr)
+	}
+	writeJSON(w, resp)
+}
+
+// pathBudget is the rule capping the result addresses a rendered
+// fan-out carries: max addresses for the whole response, spent by the
+// documents in catalog order (the /query handler), or max for each
+// document (FanoutLocal: the cluster router applies the shared budget
+// only after merging the nodes' answers).
+type pathBudget struct {
+	max    int
+	perDoc bool
+}
+
+// allow returns the addresses the next document may render while left
+// of the shared budget is unspent.
+func (b pathBudget) allow(left int) int {
+	if b.perDoc {
+		return b.max
+	}
+	return left
+}
+
+// shares returns how many addresses each result will render under the
+// budget, before anything is rendered: every result's SelectedTree is
+// exact, and a document renders min(its allowance, SelectedTree) of
+// them. Failed documents render none.
+func (b pathBudget) shares(results []core.BatchResult) []int {
+	out := make([]int, len(results))
+	left := b.max
+	for i, br := range results {
+		if br.Err != nil {
+			continue
+		}
+		n := b.allow(left)
+		if tree := br.Result.SelectedTree; tree < uint64(n) {
+			n = int(tree)
+		}
+		out[i] = n
+		left -= n
+	}
+	return out
+}
+
+// renderFanout renders fan-out results as the /query response, with the
+// addresses capped by the budget: the one renderer of the handler's
+// fan-out and FanoutLocal. The shared budget is spent by the addresses
+// actually rendered, so a document whose fallback evaluation failed
+// (and renders none) leaves its share to the documents after it.
+func renderFanout(query string, results []core.BatchResult, b pathBudget, workers int) *FanoutResponse {
+	resp := &FanoutResponse{Query: query, Docs: []QueryResponse{}, Workers: workers}
+	left := b.max
 	for _, br := range results {
 		if br.Err != nil {
 			resp.Failed = append(resp.Failed, FanoutError{Doc: br.Name, Error: br.Err.Error()})
 			continue
 		}
-		qr := toResponse(br.Name, q, br.Result, remaining)
+		qr := toResponse(br.Name, query, br.Result, b.allow(left))
 		qr.Pruned = br.Pruned
 		if br.Pruned {
 			resp.Pruned++
@@ -353,16 +409,11 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		if br.Direct {
 			resp.Direct++
 		}
-		remaining -= len(qr.Paths)
+		left -= len(qr.Paths)
 		resp.Docs = append(resp.Docs, qr)
 		resp.TotalMatches += br.Result.SelectedTree
 	}
-	tr.Record(obs.StageMaterialize, m0)
-	h.store.CloseTrace(tr, nil)
-	if wantTrace {
-		resp.Trace = traceInfo(tr)
-	}
-	writeJSON(w, resp)
+	return resp
 }
 
 func toResponse(name, q string, res *core.Result, max int) QueryResponse {

@@ -150,29 +150,13 @@ func writeDurable(s *Store, path string, data []byte) error {
 // single-node truncation exactly no matter how documents were
 // distributed. Names in skip the catalog does not hold are ignored.
 func (s *Store) FanoutLocal(ctx context.Context, query string, maxPerDoc int, skip []string) (*FanoutResponse, error) {
-	results, tr, err := s.fanout(ctx, query, false, skip)
+	budget := pathBudget{max: maxPerDoc, perDoc: true}
+	results, tr, err := s.fanout(ctx, query, false, skip, budget)
 	if err != nil {
 		s.CloseTrace(tr, err)
 		return nil, err
 	}
-	resp := &FanoutResponse{Query: query, Docs: []QueryResponse{}, Workers: s.Workers()}
-	for _, br := range results {
-		if br.Err != nil {
-			resp.Failed = append(resp.Failed, FanoutError{Doc: br.Name, Error: br.Err.Error()})
-			continue
-		}
-		qr := toResponse(br.Name, query, br.Result, maxPerDoc)
-		qr.Pruned = br.Pruned
-		if br.Pruned {
-			resp.Pruned++
-		}
-		qr.Direct = br.Direct
-		if br.Direct {
-			resp.Direct++
-		}
-		resp.Docs = append(resp.Docs, qr)
-		resp.TotalMatches += br.Result.SelectedTree
-	}
+	resp := renderFanout(query, results, budget, s.Workers())
 	s.CloseTrace(tr, nil)
 	return resp, nil
 }

@@ -1191,7 +1191,7 @@ func (s *Store) QueryAllTrace(query string, force bool) ([]core.BatchResult, *ob
 // archives included) still land in their result slots and never fail
 // the call; a document deleted after the catalog snapshot is omitted.
 func (s *Store) QueryAllTraceCtx(ctx context.Context, query string, force bool) ([]core.BatchResult, *obs.Trace, error) {
-	return s.fanout(ctx, query, force, nil)
+	return s.fanout(ctx, query, force, nil, pathBudget{})
 }
 
 // fanout is the one catalog fan-out every caller goes through: it
@@ -1200,7 +1200,12 @@ func (s *Store) QueryAllTraceCtx(ctx context.Context, query string, force bool) 
 // results in name order. A document that disappears between the
 // catalog snapshot and its load (ErrNoDocument) is omitted: it was
 // deleted while the fan-out ran, and absence is its answer.
-func (s *Store) fanout(ctx context.Context, query string, force bool, skip []string) ([]core.BatchResult, *obs.Trace, error) {
+//
+// budget is the path budget the caller will render the results under
+// (renderFanout). Synopsis-direct count results that will render paths
+// need a real evaluation (their fallback); fanout runs exactly those on
+// the worker pool, inside the eval span, so rendering evaluates nothing.
+func (s *Store) fanout(ctx context.Context, query string, force bool, skip []string, budget pathBudget) ([]core.BatchResult, *obs.Trace, error) {
 	tr := s.newTrace(query, "", force)
 	t0 := tr.Now()
 	prog, err := s.Program(query)
@@ -1263,6 +1268,19 @@ func (s *Store) fanout(ctx context.Context, query string, force bool, skip []str
 	}
 	out = kept
 	s.m.queries.Add(scanned)
+
+	t0 = tr.Now()
+	var pending []*core.Result
+	for i, n := range budget.shares(out) {
+		if n > 0 && out[i].Direct {
+			pending = append(pending, out[i].Result)
+		}
+	}
+	err = s.forEachCtx(ctx, len(pending), func(i int) { pending[i].Resolve() })
+	tr.Record(obs.StageEval, t0) // adds to the evaluation span above
+	if err != nil {
+		return nil, tr, err
+	}
 	if tr != nil {
 		tr.Considered = len(out)
 		for i := range out {

@@ -101,6 +101,40 @@ type Program struct {
 	// full answer is determined by one root-anchored child chain, which
 	// the planner can serve from synopsis statistics alone (ChainShape).
 	Chain *ChainShape
+	// Carry holds, per instruction, the registers a graph rewrite during
+	// that instruction must carry onto the rewritten graph (CarrySets).
+	// Compile and the planner fill it; without it, rewrites carry every
+	// register.
+	Carry [][]int
+}
+
+// CarrySets computes the register liveness a program's rewrites need:
+// for each instruction i, the registers written by an earlier
+// instruction and still read after i, plus the result if it is already
+// written. Any other register is either dead or written later, and every
+// operator fully overwrites its destination, so a rewrite during i may
+// clear it instead of carrying its bits onto the new vertices. Entries of
+// instructions that cannot rewrite the graph are nil.
+func CarrySets(instrs []Instr, result int) [][]int {
+	lastUse := make(map[int]int, len(instrs))
+	for i, in := range instrs {
+		for _, r := range in.Operands() {
+			lastUse[r] = i
+		}
+	}
+	lastUse[result] = len(instrs)
+	carry := make([][]int, len(instrs))
+	for i, in := range instrs {
+		if in.Op != OpAxis || in.Axis.Upward() {
+			continue
+		}
+		for _, d := range instrs[:i] {
+			if lastUse[d.Dst] > i {
+				carry[i] = append(carry[i], d.Dst)
+			}
+		}
+	}
+	return carry
 }
 
 // String renders the program one instruction per line.
@@ -138,6 +172,7 @@ func (c *compiler) finish(path *Path, res int) *Program {
 		Downward: c.downward,
 		Sig:      signatureOf(path, c.context != ""),
 		Chain:    chainShapeOf(path, c.context != ""),
+		Carry:    CarrySets(c.instrs, res),
 	}
 	for t := range c.tags {
 		prog.Tags = append(prog.Tags, t)
