@@ -94,13 +94,11 @@ func BenchmarkFig7Queries(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				f := dag.Freeze(master)
 				var res *engine.Result
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					inst := master.Clone() // engine.Run consumes its input
-					b.StartTimer()
-					res, err = engine.Run(inst, prog)
+					res, err = engine.RunFrozen(f, prog)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -142,12 +140,10 @@ func BenchmarkFigure5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		f := dag.Freeze(master)
 		b.Run(q, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				inst := master.Clone()
-				b.StartTimer()
-				if _, err := engine.Run(inst, prog); err != nil {
+				if _, err := engine.RunFrozen(f, prog); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -195,12 +191,10 @@ func BenchmarkUpwardOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f := dag.Freeze(master)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		inst := master.Clone()
-		b.StartTimer()
-		res, err := engine.Run(inst, prog)
+		res, err := engine.RunFrozen(f, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,12 +251,10 @@ func BenchmarkCompressedVsBaseline(b *testing.B) {
 				b.Fatal(err)
 			}
 
+			f := dag.Freeze(master)
 			b.Run(fmt.Sprintf("%s/Q%d/compressed", name, qi+1), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					inst := master.Clone()
-					b.StartTimer()
-					if _, err := engine.Run(inst, prog); err != nil {
+					if _, err := engine.RunFrozen(f, prog); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -334,26 +326,18 @@ func BenchmarkAblationSharedSubtreeReuse(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("dag", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			inst := compressed.Clone()
-			b.StartTimer()
-			if _, err := engine.Run(inst, prog); err != nil {
-				b.Fatal(err)
+	for _, v := range []struct {
+		name string
+		f    *dag.Frozen
+	}{{"dag", dag.Freeze(compressed)}, {"tree", dag.Freeze(uncompressed)}} {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.RunFrozen(v.f, prog); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			inst := uncompressed.Clone()
-			b.StartTimer()
-			if _, err := engine.Run(inst, prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkShreddedAssembly measures the Section 6 chunked-storage path:
@@ -441,11 +425,11 @@ func BenchmarkAblationRecompress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := engine.Run(master.Clone(), prog)
+	res, err := engine.RunFrozen(dag.Freeze(master), prog)
 	if err != nil {
 		b.Fatal(err)
 	}
-	grown := res.Instance
+	grown, _ := res.Materialize()
 	b.Run("recompress", func(b *testing.B) {
 		var shrunk int
 		for i := 0; i < b.N; i++ {
@@ -549,49 +533,6 @@ func BenchmarkPreparedVsReparse(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlayVsClone pits the zero-clone read path (Prepared.Run:
-// shared frozen base + pooled per-query overlay) against the pre-overlay
-// serving mode (deep-clone the base, run the consuming engine on the
-// copy) for every tag-only corpus query. allocs/op is the headline
-// number: the clone path allocates O(|document|) per query, the overlay
-// path O(|result|).
-func BenchmarkOverlayVsClone(b *testing.B) {
-	c, err := corpus.ByName("SwissProt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := core.Load(c.Generate(scaled(c.DefaultScale), benchSeed))
-	prep, err := doc.Prepare()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for qi, q := range c.Queries {
-		prog, err := core.Compile(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(prog.Strings) > 0 {
-			continue // the clone path lacks string marks on a tag base
-		}
-		b.Run(fmt.Sprintf("Q%d/clone", qi+1), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(prep.CloneBase(), prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("Q%d/overlay", qi+1), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := prep.Run(prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkResultPaths measures decoding a selection back to tree
 // addresses (Figure 7 column 8's traversal).
 func BenchmarkResultPaths(b *testing.B) {
@@ -610,57 +551,6 @@ func BenchmarkResultPaths(b *testing.B) {
 		if uint64(len(paths)) != res.SelectedTree {
 			b.Fatalf("paths = %d, want %d", len(paths), res.SelectedTree)
 		}
-	}
-}
-
-// BenchmarkParallelQuery measures engine.RunParallel fanning one compiled
-// query out over a corpus of documents, sweeping the worker count. On
-// multi-core hardware the wall-clock per op should drop ~linearly up to
-// the core count (the shards share nothing but the read-only program); on
-// a single core all worker counts converge. SwissProt is the largest
-// generated corpus; Q3 mixes a descendant axis with a string condition.
-func BenchmarkParallelQuery(b *testing.B) {
-	c, err := corpus.ByName("SwissProt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const docs = 8
-	prog, err := xpath.CompileQuery(c.Queries[2])
-	if err != nil {
-		b.Fatal(err)
-	}
-	insts := make([]*dag.Instance, docs)
-	var bytesTotal int64
-	for i := range insts {
-		doc := c.Generate(scaled(c.DefaultScale), benchSeed+uint64(i))
-		bytesTotal += int64(len(doc))
-		inst, _, err := skeleton.BuildCompressed(doc, skeleton.Options{
-			Mode: skeleton.TagsListed, Tags: prog.Tags, Strings: prog.Strings,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts[i] = inst
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(bytesTotal)
-			var selected uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				clones := make([]*dag.Instance, len(insts))
-				for j, inst := range insts {
-					clones[j] = inst.Clone()
-				}
-				b.StartTimer()
-				merged, err := engine.RunParallel(clones, prog, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				selected = merged.SelectedTree
-			}
-			b.ReportMetric(float64(selected), "selected")
-		})
 	}
 }
 
@@ -708,9 +598,10 @@ func BenchmarkParallelCompress(b *testing.B) {
 // largest generated corpus (SwissProt): every corpus query fanned over a
 // packed store with warm caches versus parse-per-query evaluation of the
 // same XML at the same parallelism. The acceptance target is warm serving
-// >= 5x faster than re-parsing for every query — tag-only queries clone
-// the cached instance, and string-condition queries hit the prepared
-// merged-instance memo, so neither touches XML (or even the containers).
+// >= 5x faster than re-parsing for every query — tag-only queries run on
+// the cached frozen instance, and string-condition queries hit the
+// prepared merged-instance memo, so neither touches XML (or even the
+// containers).
 func BenchmarkStoreQuery(b *testing.B) {
 	c, err := corpus.ByName("SwissProt")
 	if err != nil {

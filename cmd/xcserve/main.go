@@ -42,9 +42,9 @@
 // turns the index off.
 //
 // Because cached documents are immutable, the read path needs no locking:
-// every request handler goroutine queries its own copy-on-evaluate
-// instance, and fan-outs spread over a bounded worker pool
-// (engine.RunParallel) sized by -workers. On SIGINT/SIGTERM the server
+// every query reads the document's shared frozen instance and writes only
+// its own per-query overlay (engine.RunFrozen), and fan-outs spread over
+// a bounded worker pool (engine.ForEach) sized by -workers. On SIGINT/SIGTERM the server
 // stops accepting connections, drains in-flight queries, and flushes the
 // ingest WAL into archives before exiting.
 package main

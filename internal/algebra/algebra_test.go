@@ -2,37 +2,102 @@ package algebra_test
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/algebra"
+	"repro/internal/baseline"
 	"repro/internal/dag"
 	"repro/internal/dagtest"
+	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/label"
 	"repro/internal/skeleton"
+	"repro/internal/xpath"
 )
 
-// sel returns the tag label ID, failing the test if missing.
-func tagID(t *testing.T, in *dag.Instance, tag string) label.ID {
-	t.Helper()
-	id := in.Schema.Lookup(skeleton.TagLabel(tag))
-	if id == label.Invalid {
-		t.Fatalf("tag %q not in schema", tag)
+// treeOf unrolls an instance built by dagtest into the baseline
+// evaluator's document tree: node 0 is the instance root, nodes follow
+// in preorder, and each node's tag is its "tag:" relation.
+func treeOf(in *dag.Instance) *baseline.Tree {
+	t := &baseline.Tree{}
+	var walk func(v dag.VertexID, parent int32)
+	walk = func(v dag.VertexID, parent int32) {
+		id := int32(len(t.Tag))
+		tag := ""
+		for _, l := range in.Verts[v].Labels.Members() {
+			if name := in.Schema.Name(l); strings.HasPrefix(name, "tag:") {
+				tag = strings.TrimPrefix(name, "tag:")
+			}
+		}
+		t.Tag = append(t.Tag, tag)
+		t.Parent = append(t.Parent, parent)
+		t.Children = append(t.Children, nil)
+		if parent >= 0 {
+			t.Children[parent] = append(t.Children[parent], id)
+		}
+		for _, e := range in.Verts[v].Edges {
+			for k := uint32(0); k < e.Count; k++ {
+				walk(e.Child, id)
+			}
+		}
 	}
-	return id
+	if len(in.Verts) > 0 {
+		walk(in.Root, -1)
+	}
+	return t
 }
 
-// treeCount applies the axis on a compressed instance and returns how many
-// tree nodes the new selection covers.
+// program is a hand-built operator sequence selecting register result.
+func program(result int, instrs ...xpath.Instr) *xpath.Program {
+	n := 0
+	for _, in := range instrs {
+		if in.Dst >= n {
+			n = in.Dst + 1
+		}
+	}
+	return &xpath.Program{Instrs: instrs, Result: result, NumTemp: n}
+}
+
+func tagOp(tag string, dst int) xpath.Instr {
+	return xpath.Instr{Op: xpath.OpLabel, Name: skeleton.TagLabel(tag), Dst: dst}
+}
+
+func axisOp(axis algebra.Axis, src, dst int) xpath.Instr {
+	return xpath.Instr{Op: xpath.OpAxis, Axis: axis, A: src, Dst: dst}
+}
+
+// check evaluates prog on the compressed instance in, which represents
+// tree — engine.RunFrozen applies one Ov* operator per instruction — and
+// checks the result against the baseline evaluation of the same program
+// (enginetest.Check).
+func check(t *testing.T, ctx string, in *dag.Instance, tree *baseline.Tree, prog *xpath.Program) *engine.Result {
+	t.Helper()
+	res, err := engine.RunFrozen(dag.Freeze(in), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := baseline.Eval(tree, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enginetest.Check(t, ctx, in, res, tree, sel, enginetest.DecompressingSteps(prog), 1<<10)
+	return res
+}
+
+// checkTerm is check on the compressed instance of a dagtest term.
+func checkTerm(t *testing.T, term string, prog *xpath.Program) *engine.Result {
+	t.Helper()
+	return check(t, term, dagtest.CompressedFromTerm(term), treeOf(dagtest.FromTerm(term)), prog)
+}
+
+// treeCount applies the axis to a tag's vertices on a compressed instance
+// and returns how many tree nodes the new selection covers.
 func treeCount(t *testing.T, term, tag string, axis algebra.Axis) uint64 {
 	t.Helper()
-	in := dagtest.CompressedFromTerm(term)
-	src := tagID(t, in, tag)
-	out, dst := algebra.ApplyAxis(in, axis, src, "$r")
-	if err := out.Validate(); err != nil {
-		t.Fatalf("%v axis broke the instance: %v\n%s", axis, err, out)
-	}
-	return out.CountSelectedTree(dst)
+	return checkTerm(t, term, program(1, tagOp(tag, 0), axisOp(axis, 0, 1))).SelectedTree
 }
 
 func TestChildAxis(t *testing.T) {
@@ -50,7 +115,7 @@ func TestParentAxis(t *testing.T) {
 }
 
 func TestDescendantAxis(t *testing.T) {
-	// descendants of a: everything below the root = 6 nodes.
+	// descendants of a: everything below the root = 7 nodes.
 	if got := treeCount(t, "a(b(c,c,d),b(c),d)", "a", algebra.Descendant); got != 7 {
 		t.Fatalf("descendant count = %d, want 7", got)
 	}
@@ -97,33 +162,22 @@ func TestFollowingSiblingAxis(t *testing.T) {
 func TestFollowingSiblingSplitsRuns(t *testing.T) {
 	// a(c,c,c): following-sibling(c) = the 2nd and 3rd c. The compressed
 	// instance has one c vertex with multiplicity 3; the run must split.
-	in := dagtest.CompressedFromTerm("a(c,c,c)")
-	if in.NumVertices() != 2 {
-		t.Fatalf("setup: vertices = %d", in.NumVertices())
+	if n := dagtest.CompressedFromTerm("a(c,c,c)").NumVertices(); n != 2 {
+		t.Fatalf("setup: vertices = %d", n)
 	}
-	src := tagID(t, in, "c")
-	out, dst := algebra.ApplyAxis(in, algebra.FollowingSibling, src, "$r")
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
+	res := checkTerm(t, "a(c,c,c)", program(1, tagOp("c", 0), axisOp(algebra.FollowingSibling, 0, 1)))
+	if res.SelectedTree != 2 {
+		t.Fatalf("selected = %d, want 2", res.SelectedTree)
 	}
-	if got := out.CountSelectedTree(dst); got != 2 {
-		t.Fatalf("selected = %d, want 2\n%s", got, out)
-	}
-	if got := out.CountSelected(dst); got != 1 {
-		t.Fatalf("selected DAG vertices = %d, want 1 (split run, shared tail)\n%s", got, out)
+	if res.SelectedDAG != 1 {
+		t.Fatalf("selected DAG vertices = %d, want 1 (split run, shared tail)", res.SelectedDAG)
 	}
 }
 
 func TestPrecedingSiblingAxis(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(c,c,c)")
-	src := tagID(t, in, "c")
-	out, dst := algebra.ApplyAxis(in, algebra.PrecedingSibling, src, "$r")
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// preceding siblings of {c1,c2,c3}: c1,c2 selected.
-	if got := out.CountSelectedTree(dst); got != 2 {
-		t.Fatalf("selected = %d, want 2\n%s", got, out)
+	if got := treeCount(t, "a(c,c,c)", "c", algebra.PrecedingSibling); got != 2 {
+		t.Fatalf("selected = %d, want 2", got)
 	}
 }
 
@@ -146,84 +200,100 @@ func TestPrecedingAxis(t *testing.T) {
 }
 
 func TestSetOps(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b,c,b)")
-	b := tagID(t, in, "b")
-	c := tagID(t, in, "c")
-	in, u := algebra.Union(in, b, c, "$u")
-	if got := in.CountSelectedTree(u); got != 3 {
-		t.Fatalf("union = %d, want 3", got)
+	instrs := []xpath.Instr{
+		tagOp("b", 0),
+		tagOp("c", 1),
+		{Op: xpath.OpUnion, A: 0, B: 1, Dst: 2},
+		{Op: xpath.OpIntersect, A: 0, B: 1, Dst: 3},
+		{Op: xpath.OpDiff, A: 2, B: 0, Dst: 4},
+		{Op: xpath.OpComplement, A: 0, Dst: 5},
 	}
-	in, i := algebra.Intersect(in, b, c, "$i")
-	if got := in.CountSelectedTree(i); got != 0 {
-		t.Fatalf("intersect = %d, want 0", got)
-	}
-	in, d := algebra.Difference(in, u, b, "$d")
-	if got := in.CountSelectedTree(d); got != 1 {
-		t.Fatalf("difference = %d, want 1", got)
-	}
-	in, n := algebra.Complement(in, b, "$n")
-	if got := in.CountSelectedTree(n); got != 2 {
-		t.Fatalf("complement = %d, want 2 (a and c)", got)
+	for _, c := range []struct {
+		name   string
+		result int
+		want   uint64
+	}{
+		{"union", 2, 3},
+		{"intersect", 3, 0},
+		{"difference", 4, 1},
+		{"complement", 5, 2}, // a and c
+	} {
+		if got := checkTerm(t, "a(b,c,b)", program(c.result, instrs...)).SelectedTree; got != c.want {
+			t.Fatalf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
 func TestRootFilter(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b)")
-	a := tagID(t, in, "a")
-	b := tagID(t, in, "b")
-	in, yes := algebra.RootFilter(in, a, "$y")
-	if got := in.CountSelectedTree(yes); got != 2 {
+	instrs := []xpath.Instr{
+		tagOp("a", 0),
+		tagOp("b", 1),
+		{Op: xpath.OpRootFilter, A: 0, Dst: 2},
+		{Op: xpath.OpRootFilter, A: 1, Dst: 3},
+	}
+	if got := checkTerm(t, "a(b)", program(2, instrs...)).SelectedTree; got != 2 {
 		t.Fatalf("root filter (root selected) = %d, want all 2", got)
 	}
-	in, no := algebra.RootFilter(in, b, "$n")
-	if got := in.CountSelectedTree(no); got != 0 {
+	if got := checkTerm(t, "a(b)", program(3, instrs...)).SelectedTree; got != 0 {
 		t.Fatalf("root filter (root unselected) = %d, want 0", got)
 	}
 }
 
 func TestAddAllAddRoot(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b,b)")
-	in, all := algebra.AddAll(in, "$all")
-	if got := in.CountSelectedTree(all); got != 3 {
+	instrs := []xpath.Instr{{Op: xpath.OpAll, Dst: 0}, {Op: xpath.OpRoot, Dst: 1}}
+	if got := checkTerm(t, "a(b,b)", program(0, instrs...)).SelectedTree; got != 3 {
 		t.Fatalf("all = %d", got)
 	}
-	in, root := algebra.AddRoot(in, "$root")
-	if got := in.CountSelectedTree(root); got != 1 {
-		t.Fatalf("root = %d", got)
+	root := checkTerm(t, "a(b,b)", program(1, instrs...))
+	if root.SelectedTree != 1 {
+		t.Fatalf("root = %d", root.SelectedTree)
 	}
-	if !in.Verts[in.Root].Labels.Has(root) {
-		t.Fatal("root selection not on root vertex")
+	if paths := root.View.Paths(10); !reflect.DeepEqual(paths, []string{""}) {
+		t.Fatalf("root selection at %q, want the root", paths)
 	}
 }
 
+// TestClearLabel: clearing a register (the overlay's counterpart of
+// dropping a relation) empties it without touching the others.
 func TestClearLabel(t *testing.T) {
-	in := dagtest.CompressedFromTerm("a(b)")
-	b := tagID(t, in, "b")
-	algebra.ClearLabel(in, b)
-	if got := in.CountSelected(b); got != 0 {
-		t.Fatalf("cleared label still selects %d", got)
+	f := dag.Freeze(dagtest.CompressedFromTerm("a(b)"))
+	ov := dag.AcquireOverlay(f)
+	defer ov.Release()
+	ov.EnsureCols(2)
+	algebra.OvLabel(ov, skeleton.TagLabel("b"), 0)
+	algebra.OvLabel(ov, skeleton.TagLabel("a"), 1)
+	ov.ZeroCol(0)
+	if got := ov.Col(0).Count(); got != 0 {
+		t.Fatalf("cleared register still selects %d", got)
 	}
+	if got := ov.Col(1).Count(); got != 1 {
+		t.Fatalf("other register selects %d, want 1", got)
+	}
+}
+
+// randomCase returns a compressed random tree, its baseline tree and one
+// of its tags.
+func randomCase(r *rand.Rand, maxNodes int) (*dag.Instance, *baseline.Tree, string) {
+	tree := dagtest.RandomTree(r, maxNodes, 4, 3)
+	tag := tree.Schema.Name(label.ID(r.Intn(tree.Schema.Len())))
+	return dag.Compress(tree.Clone()), treeOf(tree), strings.TrimPrefix(tag, "tag:")
 }
 
 // TestUpwardNoDecompression is Corollary 3.7's precondition: upward axes
-// and set operations never change the DAG.
+// and set operations never change the DAG (enginetest.Check asserts it
+// for a program without decompressing steps).
 func TestUpwardNoDecompression(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		in := dag.Compress(dagtest.RandomTree(r, 60, 4, 3))
-		v0, e0 := in.NumVertices(), in.NumEdges()
-		var src label.ID
-		if in.Schema.Len() == 0 {
-			return true
+		in, tree, tag := randomCase(r, 60)
+		instrs := []xpath.Instr{tagOp(tag, 0)}
+		for i, ax := range []algebra.Axis{algebra.Self, algebra.Parent, algebra.Ancestor, algebra.AncestorOrSelf} {
+			instrs = append(instrs, axisOp(ax, i, i+1))
 		}
-		src = label.ID(r.Intn(in.Schema.Len()))
-		for _, ax := range []algebra.Axis{algebra.Self, algebra.Parent, algebra.Ancestor, algebra.AncestorOrSelf} {
-			var out *dag.Instance
-			out, src = algebra.ApplyAxis(in, ax, src, "$x"+ax.String())
-			in = out
-			if in.NumVertices() != v0 || in.NumEdges() != e0 {
-				return false
-			}
+		instrs = append(instrs, xpath.Instr{Op: xpath.OpComplement, A: 4, Dst: 5},
+			xpath.Instr{Op: xpath.OpUnion, A: 5, B: 1, Dst: 6})
+		for result := 1; result <= 6; result++ {
+			check(t, "upward chain", in, tree, program(result, instrs...))
 		}
 		return true
 	}
@@ -233,7 +303,8 @@ func TestUpwardNoDecompression(t *testing.T) {
 }
 
 // TestDoublingBound checks Propositions 3.2/3.4: one axis application at
-// most doubles vertices and edges.
+// most doubles vertices and edges, and leaves the document unchanged
+// (enginetest.Check asserts both for a one-step program).
 func TestDoublingBound(t *testing.T) {
 	axes := []algebra.Axis{
 		algebra.Child, algebra.Descendant, algebra.DescendantOrSelf,
@@ -241,32 +312,9 @@ func TestDoublingBound(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		base := dag.Compress(dagtest.RandomTree(r, 80, 4, 3))
-		if base.Schema.Len() == 0 {
-			return true
-		}
-		src := label.ID(r.Intn(base.Schema.Len()))
+		in, tree, tag := randomCase(r, 80)
 		for _, ax := range axes {
-			in := base.Clone()
-			v0, e0 := in.NumVertices(), in.NumEdges()
-			out, _ := algebra.ApplyAxis(in, ax, src, "$r")
-			if err := out.Validate(); err != nil {
-				t.Logf("%v: %v", ax, err)
-				return false
-			}
-			if out.NumVertices() > 2*v0 || out.NumEdges() > 2*e0 {
-				t.Logf("%v grew %d/%d -> %d/%d", ax, v0, e0, out.NumVertices(), out.NumEdges())
-				return false
-			}
-			// Equivalence must be preserved on the original schema.
-			keep := make([]label.ID, base.Schema.Len())
-			for i := range keep {
-				keep[i] = label.ID(i)
-			}
-			if !dag.Equivalent(out.Reduct(keep), base) {
-				t.Logf("%v changed the underlying document", ax)
-				return false
-			}
+			check(t, ax.String(), in, tree, program(1, tagOp(tag, 0), axisOp(ax, 0, 1)))
 		}
 		return true
 	}
@@ -284,12 +332,14 @@ func TestAxisInverseRoundTrip(t *testing.T) {
 }
 
 func TestEmptyInstance(t *testing.T) {
-	in := dag.New()
-	for _, ax := range []algebra.Axis{algebra.Child, algebra.Parent, algebra.Descendant, algebra.FollowingSibling, algebra.Following} {
-		out, _ := algebra.ApplyAxis(in, ax, 0, "$r")
-		if out.NumVertices() != 0 {
-			t.Fatalf("%v on empty instance produced vertices", ax)
+	instrs := []xpath.Instr{tagOp("a", 0)}
+	for i, ax := range []algebra.Axis{algebra.Child, algebra.Parent, algebra.Descendant, algebra.FollowingSibling, algebra.Following} {
+		instrs = append(instrs, axisOp(ax, i, i+1))
+	}
+	for result := 1; result < len(instrs); result++ {
+		res := check(t, "empty", dag.New(), &baseline.Tree{}, program(result, instrs...))
+		if res.VertsAfter != 0 {
+			t.Fatalf("axis chain on empty instance produced %d vertices", res.VertsAfter)
 		}
-		in = out
 	}
 }

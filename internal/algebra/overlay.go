@@ -5,21 +5,20 @@ import (
 	"repro/internal/label"
 )
 
-// This file implements every Core XPath operator of algebra.go a second
-// time, for the zero-clone evaluation mode: operators read the immutable
-// frozen base shared by all in-flight queries (plus the query's private
-// overlay) and write dense Bitset columns in the overlay instead of
-// interning temporaries into the schema and mutating per-vertex label
-// sets. Set operations become word-wise loops; upward axes stay a single
-// bottom-up pass; the decompressing axes (downward, sibling) become
+// The operators read the immutable frozen base shared by all in-flight
+// queries (plus the query's private overlay) and write dense Bitset
+// columns in the overlay; they never intern into the schema or touch a
+// base vertex. Set operations are word-wise loops; upward axes are a
+// single bottom-up pass; the decompressing axes (downward, sibling) are
 // copy-on-write rewrites that append to the overlay only the vertices
 // whose edges or selection variants must diverge from the base — the
 // identity part of the graph keeps its IDs, so selections written before
 // a rewrite stay valid for free and a small-selection query allocates
 // proportionally to what it splits, not to the document.
 //
-// Operator semantics are identical to the clone path; the golden tests in
-// internal/engine assert equality corpus by corpus and per random query.
+// The operator tests in this package and the golden tests in
+// internal/engine check every operator against the uncompressed
+// evaluator of internal/baseline.
 
 // OvLabel fills column dst with the membership of the relation named
 // name, or with the empty set if the document does not define it.
@@ -151,9 +150,8 @@ func ovShortcut(ov *dag.Overlay, axis Axis, src, dst int) bool {
 }
 
 // ovUpward computes parent / ancestor / ancestor-or-self bottom-up in one
-// pass over the live topological order, exactly like the clone path's
-// upwardAxis but reading and writing columns. The graph never changes
-// (Proposition 3.3).
+// pass over the live topological order, reading and writing columns. The
+// graph never changes (Proposition 3.3).
 func ovUpward(ov *dag.Overlay, axis Axis, src, dst int) {
 	s, d := ov.Col(src), ov.Col(dst)
 	d.Zero()
@@ -527,4 +525,21 @@ func anyOverlap(a, b dag.Bitset) bool {
 		}
 	}
 	return false
+}
+
+// mergeRuns coalesces adjacent edges to the same child into one run.
+func mergeRuns(edges []dag.Edge) []dag.Edge {
+	if len(edges) < 2 {
+		return edges
+	}
+	w := 0
+	for r := 1; r < len(edges); r++ {
+		if edges[r].Child == edges[w].Child {
+			edges[w].Count += edges[r].Count
+		} else {
+			w++
+			edges[w] = edges[r]
+		}
+	}
+	return edges[:w+1]
 }

@@ -11,6 +11,7 @@ package baseline
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/algebra"
 	"repro/internal/saxml"
@@ -179,6 +180,44 @@ func Count(set []bool) int {
 		}
 	}
 	return n
+}
+
+// Paths returns the tree addresses of up to max selected nodes, in
+// document order, in the format of dag.SelectedPaths: node 0 is "", and
+// every other node is its parent's address extended by its 1-based
+// position among the parent's children, joined with '.'. It walks the
+// nodes in preorder with one address buffer, so it builds no address it
+// does not return.
+func Paths(t *Tree, sel []bool, max int) []string {
+	type frame struct {
+		node    int32
+		addrLen int
+		kids    int
+	}
+	var (
+		out   []string
+		addr  []byte
+		stack []frame
+	)
+	for i := 0; i < t.NumNodes() && len(out) < max; i++ {
+		if p := t.Parent[i]; p >= 0 {
+			for stack[len(stack)-1].node != p {
+				stack = stack[:len(stack)-1]
+			}
+			top := &stack[len(stack)-1]
+			top.kids++
+			addr = addr[:top.addrLen]
+			if len(addr) > 0 {
+				addr = append(addr, '.')
+			}
+			addr = strconv.AppendInt(addr, int64(top.kids), 10)
+		}
+		stack = append(stack, frame{node: int32(i), addrLen: len(addr)})
+		if sel[i] {
+			out = append(out, string(addr))
+		}
+	}
+	return out
 }
 
 // labelSet resolves a "tag:..." or "str:..." schema name to its node set.

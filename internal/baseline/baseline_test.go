@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
@@ -91,5 +92,41 @@ func TestStringConditions(t *testing.T) {
 func TestMalformedDoc(t *testing.T) {
 	if _, err := baseline.Build([]byte(`<a><b></a>`), nil); err == nil {
 		t.Fatal("expected parse error")
+	}
+}
+
+func TestPaths(t *testing.T) {
+	tr, err := baseline.Build([]byte(doc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		query string
+		max   int
+		want  []string
+	}{
+		{`/self::*`, 10, []string{""}},
+		{`/bib`, 10, []string{"1"}},
+		// bib's children: book 1.1, paper 1.2; the authors are the
+		// book's children 2 and 3 and the paper's child 2.
+		{`//author`, 10, []string{"1.1.2", "1.1.3", "1.2.2"}},
+		{`//author`, 2, []string{"1.1.2", "1.1.3"}},
+		{`//*`, 4, []string{"1", "1.1", "1.1.1", "1.1.2"}},
+		{`//title/following-sibling::*`, 10, []string{"1.1.2", "1.1.3", "1.2.2"}},
+		{`//nosuch`, 10, nil},
+		{`//author`, 0, nil},
+	}
+	for _, c := range cases {
+		prog, err := xpath.CompileQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := baseline.Eval(tr, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := baseline.Paths(tr, sel, c.max); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s (max %d): paths %q, want %q", c.query, c.max, got, c.want)
+		}
 	}
 }

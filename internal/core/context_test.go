@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/xpath"
 )
 
 func TestQueryFromComposition(t *testing.T) {
@@ -104,5 +107,44 @@ func TestQueryFromUnknownTagSelectsNothing(t *testing.T) {
 	}
 	if res.SelectedTree != 0 {
 		t.Fatalf("unknown tag selected %d", res.SelectedTree)
+	}
+}
+
+// TestQueryFromChainMatchesBaseline chains three QueryFrom stages, each
+// re-querying the previous stage's materialized result, and checks every
+// stage against the baseline evaluation of the equivalent single query.
+// A re-queried materialized result already carries a result relation,
+// which must not leak into the next stage's selection.
+func TestQueryFromChainMatchesBaseline(t *testing.T) {
+	prep, err := core.Load([]byte(bibXML)).Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := baseline.Build([]byte(bibXML), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Query(`//paper`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	composed := `//paper`
+	for _, step := range []string{`author`, `self::*`, `parent::paper`} {
+		if res, err = res.QueryFrom(step); err != nil {
+			t.Fatal(err)
+		}
+		composed += "/" + step
+		prog, err := xpath.CompileQuery(composed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := baseline.Eval(tree, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := baseline.Paths(tree, sel, 100)
+		if got := res.Paths(100); !reflect.DeepEqual(got, want) || res.SelectedTree != uint64(len(want)) {
+			t.Fatalf("%s: selected %d, paths %v; baseline %v", composed, res.SelectedTree, got, want)
+		}
 	}
 }

@@ -70,13 +70,13 @@ func (d *Document) Stats(mode skeleton.TagMode) (CompressionStats, error) {
 
 // Result reports a query evaluation in the shape of one Figure 7 row.
 //
-// The result selection itself is carried either as a materialized
-// instance (queries that consumed a private instance) or as a detached
-// overlay view over the shared frozen base (Prepared/store queries,
-// which never clone). The counting fields are always populated; the
-// Instance accessor materializes a standalone instance lazily, and Paths
-// reads straight off whichever form is present — so a serving layer that
-// only reports counts and addresses never pays for materialization.
+// The result selection itself is carried as a detached overlay view over
+// the frozen instance the query ran on (or, for results answered without
+// evaluation, as a tiny standalone instance). The counting fields are
+// always populated; the Instance accessor materializes a standalone
+// instance lazily, and Paths reads straight off whichever form is
+// present — so a serving layer that only reports counts and addresses
+// never pays for materialization.
 type Result struct {
 	// ParseTime covers parsing, string matching and compression; EvalTime
 	// covers pure in-memory query evaluation (columns 1 and 4).
@@ -99,7 +99,7 @@ type Result struct {
 	mu   sync.Mutex
 	inst *dag.Instance   // materialized result instance (lazy for views)
 	lbl  label.ID        // result selection within inst
-	view *dag.ResultView // overlay result; nil for consumed-instance runs
+	view *dag.ResultView // overlay result; nil for unevaluated results
 
 	// direct marks results answered from synopsis statistics without
 	// evaluation; fallback, for direct count results, evaluates the
@@ -157,8 +157,7 @@ func ExistsResult(exists bool) *Result {
 // its fallback if paths or an instance are requested).
 func (r *Result) Direct() bool { return r.direct }
 
-// newResult wraps an engine result, deferring materialization when the
-// engine ran in overlay mode.
+// newResult wraps an engine result, deferring materialization.
 func newResult(er *engine.Result) *Result {
 	return &Result{
 		VertsBefore:  er.VertsBefore,
@@ -167,8 +166,6 @@ func newResult(er *engine.Result) *Result {
 		EdgesAfter:   er.EdgesAfter,
 		SelectedDAG:  er.SelectedDAG,
 		SelectedTree: er.SelectedTree,
-		inst:         er.Instance,
-		lbl:          er.Label,
 		view:         er.View,
 	}
 }
@@ -254,9 +251,11 @@ func (r *Result) Paths(max int) []string {
 
 // QueryFrom evaluates a follow-up query whose top-level relative paths
 // start from this result's selection — the "user-defined initial selection
-// of nodes" context of Section 3.1. Evaluation continues on a copy of the
-// (partially decompressed) result instance, so r remains valid and
-// composition chains freely.
+// of nodes" context of Section 3.1. Evaluation continues on a frozen copy
+// of the (partially decompressed) result instance — a copy because
+// freezing re-slices edge lists in place and the instance is the one
+// Instance returns, which concurrent readers may hold — so r remains
+// valid and composition chains freely.
 //
 // The follow-up may only reference relations present in the result
 // instance: tags the original query requested (or all tags, for results
@@ -269,7 +268,7 @@ func (r *Result) QueryFrom(query string) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	er, err := engine.Run(inst.Clone(), prog)
+	er, err := engine.RunFrozen(dag.Freeze(inst.Clone()), prog)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +296,8 @@ func Compile(query string) (*xpath.Program, error) {
 	return xpath.CompileQuery(query)
 }
 
-// Run evaluates a compiled program against the document.
+// Run evaluates a compiled program against the document. EvalTime
+// covers freezing the per-query instance as well as the evaluation.
 func (d *Document) Run(prog *xpath.Program) (*Result, error) {
 	t0 := time.Now()
 	inst, st, err := skeleton.BuildCompressed(d.source, skeleton.Options{
@@ -311,7 +311,7 @@ func (d *Document) Run(prog *xpath.Program) (*Result, error) {
 	parseTime := time.Since(t0)
 
 	t1 := time.Now()
-	er, err := engine.Run(inst, prog)
+	er, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		return nil, err
 	}

@@ -84,12 +84,6 @@ func NewPrepared(base *dag.Instance, distill Distiller) *Prepared {
 // Frozen returns the shared frozen base instance.
 func (p *Prepared) Frozen() *dag.Frozen { return p.frozen }
 
-// CloneBase returns a copy of the cached full-tag instance, for callers
-// that evaluate compiled programs on it directly with the consuming
-// engine.Run path — e.g. the clone-vs-overlay benchmarks and golden
-// tests.
-func (p *Prepared) CloneBase() *dag.Instance { return p.frozen.Instance().Clone() }
-
 // BaseVertices returns the size of the cached instance, for reporting.
 func (p *Prepared) BaseVertices() int { return p.frozen.NumVertices() }
 
@@ -224,39 +218,6 @@ func (p *Prepared) Run(prog *xpath.Program) (*Result, error) {
 	evalTime := time.Since(t1)
 
 	res := newResult(er)
-	res.ParseTime = prepTime
-	res.EvalTime = evalTime
-	res.TreeVertices = p.TreeVertices()
-	return res, nil
-}
-
-// RunCount evaluates a compiled program for its cardinalities only
-// (engine.RunFrozenCount): the result carries the full counting fields
-// but selects into no view or instance — Paths and Instance report an
-// empty selection. Count-shaped consumers (totals, exists checks,
-// estimator-soundness harnesses) use it to skip the view detach.
-func (p *Prepared) RunCount(prog *xpath.Program) (*Result, error) {
-	t0 := time.Now()
-	f := p.frozen
-	if len(prog.Strings) > 0 {
-		var err error
-		f, err = p.mergedFor(prog.Strings)
-		if err != nil {
-			return nil, err
-		}
-	}
-	prepTime := time.Since(t0)
-
-	t1 := time.Now()
-	er, err := engine.RunFrozenCount(f, prog)
-	if err != nil {
-		return nil, err
-	}
-	evalTime := time.Since(t1)
-
-	res := newResult(er)
-	in := dag.New()
-	res.inst, res.lbl = in, in.Schema.Intern("result:count")
 	res.ParseTime = prepTime
 	res.EvalTime = evalTime
 	res.TreeVertices = p.TreeVertices()

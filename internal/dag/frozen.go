@@ -34,8 +34,10 @@ type Frozen struct {
 }
 
 // Freeze wraps in as an immutable base. The caller must not mutate in (or
-// its schema) afterwards; run queries against it with engine.RunFrozen,
-// or clone it for the consuming engine.Run path.
+// its schema) afterwards; run queries against it with engine.RunFrozen.
+// Freezing re-slices in's edge lists in place (their contents stay the
+// same), so an instance that other goroutines may read or freeze
+// concurrently must be cloned first.
 //
 // Freeze packs every vertex's edge list into one contiguous array laid
 // out in the cached topological order and re-slices each Verts[v].Edges

@@ -180,38 +180,3 @@ func TestCompressParallelEmpty(t *testing.T) {
 		t.Fatalf("single vertex: got %d vertices", out.NumVertices())
 	}
 }
-
-// TestSplitTopLevel: shards must be valid, partition the root's child
-// sequence, and jointly cover the tree (each shard re-counts the root
-// once).
-func TestSplitTopLevel(t *testing.T) {
-	tree := dagtest.FromTerm("r(a(x,y),b(x),a(x,y),c,b(x),a(x,y),c,c)")
-	in := dag.Compress(tree)
-	for _, parts := range []int{1, 2, 3, 4, 100} {
-		shards := dag.SplitTopLevel(in, parts)
-		if len(shards) == 0 {
-			t.Fatalf("parts=%d: no shards", parts)
-		}
-		var total uint64
-		var runs int
-		for si, sh := range shards {
-			if err := sh.Validate(); err != nil {
-				t.Fatalf("parts=%d shard %d invalid: %v", parts, si, err)
-			}
-			total += sh.TreeSize()
-			runs += len(sh.Verts[sh.Root].Edges)
-		}
-		// Every shard repeats the root vertex once.
-		want := in.TreeSize() + uint64(len(shards)-1)
-		if total != want {
-			t.Fatalf("parts=%d: shard tree sizes sum to %d, want %d", parts, total, want)
-		}
-		if runs != len(in.Verts[in.Root].Edges) {
-			t.Fatalf("parts=%d: shards carry %d root edge runs, original has %d",
-				parts, runs, len(in.Verts[in.Root].Edges))
-		}
-	}
-	if got := dag.SplitTopLevel(dag.New(), 4); got != nil {
-		t.Fatalf("splitting empty instance: got %d shards, want none", len(got))
-	}
-}

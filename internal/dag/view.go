@@ -84,9 +84,12 @@ func (v *ResultView) paths(max int, edges func(VertexID) []Edge) []string {
 
 // Materialize builds a standalone Instance carrying the result: the live
 // part of the view's graph, compacted and deep-copied, with the selection
-// registered as the relation ResultLabelName. The returned instance
-// shares nothing mutable with the frozen base, so it composes with the
-// consuming engine.Run path (query contexts, DOT output, decompression).
+// registered as the relation ResultLabelName. A base that already
+// carries that relation (a frozen materialized result, re-queried) loses
+// its old selection: only this view's is registered. The returned
+// instance shares nothing mutable with the frozen base, so callers may
+// walk it, decompress it, or freeze a copy of it to query the result
+// again (query contexts).
 func (v *ResultView) Materialize() (*Instance, label.ID) {
 	schema := v.f.inst.Schema.Clone()
 	rid := schema.Intern(ResultLabelName)
@@ -125,7 +128,7 @@ func (v *ResultView) Materialize() (*Instance, label.ID) {
 		for i, e := range src {
 			edges[i] = Edge{Child: remap[e.Child], Count: e.Count}
 		}
-		labels := v.labels(oldID).Clone()
+		labels := v.labels(oldID).Without(rid)
 		if sel.Get(oldID) {
 			labels = labels.Set(rid)
 		}

@@ -2,7 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
-
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,11 +10,18 @@ import (
 	"repro/internal/dag"
 	"repro/internal/dagtest"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
 )
 
-// run evaluates query on doc via the compressed-instance engine.
+// runPaths bounds the result paths run compares with the baseline: every
+// address of the small fixtures, the first ones of the stress documents.
+const runPaths = 1 << 10
+
+// run evaluates query on doc with Freeze + RunFrozen over a compressed
+// instance distilled for it, checking the result against the baseline
+// evaluator (enginetest.Check).
 func run(t *testing.T, doc []byte, query string) *engine.Result {
 	t.Helper()
 	prog, err := xpath.CompileQuery(query)
@@ -27,14 +34,7 @@ func run(t *testing.T, doc []byte, query string) *engine.Result {
 	if err != nil {
 		t.Fatalf("build %q: %v", query, err)
 	}
-	res, err := engine.Run(inst, prog)
-	if err != nil {
-		t.Fatalf("run %q: %v", query, err)
-	}
-	if err := res.Instance.Validate(); err != nil {
-		t.Fatalf("query %q broke instance invariants: %v", query, err)
-	}
-	return res
+	return enginetest.Run(t, query, doc, inst, prog, runPaths)
 }
 
 const bibXML = `<bib>
@@ -137,25 +137,10 @@ func TestFigure5(t *testing.T) {
 	// are relative paths from it; with levels a,b,a,b,a the root is 'a',
 	// so /a matches the root and /a/a is empty (children are b) — the
 	// figure's labelling differs, but the point under test is agreement
-	// with the oracle plus bounded decompression, which is labelling-
-	// independent.
-	tree, err := baseline.Build(doc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// with the oracle (which run checks) plus bounded decompression,
+	// which is labelling-independent.
 	for _, q := range queries {
 		res := run(t, doc, q)
-		prog, err := xpath.CompileQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := baseline.Eval(tree, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, wantN := res.SelectedTree, uint64(baseline.Count(want)); got != wantN {
-			t.Errorf("%s: selected %d, want %d", q, got, wantN)
-		}
 		// The compressed complete binary tree has 5 vertices (one per
 		// level); one query may at most double per axis application but
 		// must stay far below the 31-node tree.
@@ -194,8 +179,8 @@ func TestUpwardOnlyQueriesDoNotDecompress(t *testing.T) {
 
 // TestDifferentialEngineVsBaseline is the central correctness test: on
 // random documents and random queries, evaluation on the compressed
-// instance must select exactly the same number of tree nodes as the
-// independent uncompressed-tree evaluator.
+// instance must select exactly the tree nodes, in document order, that
+// the independent uncompressed-tree evaluator selects.
 func TestDifferentialEngineVsBaseline(t *testing.T) {
 	tags := []string{"t0", "t1", "t2", "t3", "t4"}
 	words := []string{"alpha", "beta", "gamma", "veto", "alp"}
@@ -203,44 +188,11 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		doc := dagtest.RandomXML(r, 100, 4, len(tags))
 		query := dagtest.RandomQuery(r, tags, words)
-		prog, err := xpath.CompileQuery(query)
-		if err != nil {
+		if _, err := xpath.CompileQuery(query); err != nil {
 			t.Logf("compile %q: %v", query, err)
 			return false
 		}
-
-		inst, _, err := skeleton.BuildCompressed(doc, skeleton.Options{
-			Mode: skeleton.TagsListed, Tags: prog.Tags, Strings: prog.Strings,
-		})
-		if err != nil {
-			t.Logf("build: %v", err)
-			return false
-		}
-		res, err := engine.Run(inst, prog)
-		if err != nil {
-			t.Logf("engine %q: %v", query, err)
-			return false
-		}
-		if err := res.Instance.Validate(); err != nil {
-			t.Logf("invariants after %q: %v", query, err)
-			return false
-		}
-
-		tree, err := baseline.Build(doc, prog.Strings)
-		if err != nil {
-			t.Logf("baseline build: %v", err)
-			return false
-		}
-		want, err := baseline.Eval(tree, prog)
-		if err != nil {
-			t.Logf("baseline %q: %v", query, err)
-			return false
-		}
-		if res.SelectedTree != uint64(baseline.Count(want)) {
-			t.Logf("MISMATCH query %s\ndoc %s\nengine=%d baseline=%d",
-				query, doc, res.SelectedTree, baseline.Count(want))
-			return false
-		}
+		run(t, doc, query)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -268,11 +220,12 @@ func TestDifferentialSelectedSetsExactly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := engine.Run(inst, prog)
+		res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 		if err != nil {
 			return false
 		}
-		full, err := dag.Decompress(res.Instance, 1<<20)
+		mat, lbl := res.Materialize()
+		full, err := dag.Decompress(mat, 1<<20)
 		if err != nil {
 			return false
 		}
@@ -280,7 +233,7 @@ func TestDifferentialSelectedSetsExactly(t *testing.T) {
 		var sel []bool
 		var walk func(v dag.VertexID)
 		walk = func(v dag.VertexID) {
-			sel = append(sel, full.Verts[v].Labels.Has(res.Label))
+			sel = append(sel, full.Verts[v].Labels.Has(lbl))
 			for _, e := range full.Verts[v].Edges {
 				walk(e.Child)
 			}
@@ -339,12 +292,15 @@ func TestRecompress(t *testing.T) {
 
 func TestSelectedPathsThroughEngine(t *testing.T) {
 	res := run(t, []byte(bibXML), `//paper/author`)
-	paths := dag.SelectedPaths(res.Instance, res.Label, 10)
 	// bib is child 1 of the document node; papers are its children 2,3;
 	// each author is child 2 of its paper.
 	want := []string{"1.2.2", "1.3.2"}
-	if len(paths) != 2 || paths[0] != want[0] || paths[1] != want[1] {
-		t.Fatalf("paths = %v, want %v", paths, want)
+	if paths := res.View.Paths(10); !reflect.DeepEqual(paths, want) {
+		t.Fatalf("view paths = %v, want %v", paths, want)
+	}
+	mat, lbl := res.Materialize()
+	if paths := dag.SelectedPaths(mat, lbl, 10); !reflect.DeepEqual(paths, want) {
+		t.Fatalf("materialized paths = %v, want %v", paths, want)
 	}
 }
 
@@ -371,10 +327,7 @@ func TestQueryOnUncompressedTreeAlsoWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(tree, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := enginetest.Run(t, query, doc, tree, prog, runPaths)
 	if res.SelectedTree != 1 {
 		t.Fatalf("selected %d, want 1", res.SelectedTree)
 	}
@@ -392,7 +345,8 @@ func TestResultInstanceStillRepresentsDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dag.Equivalent(res.Instance.Reduct(nil), bare) {
+	mat, _ := res.Materialize()
+	if !dag.Equivalent(mat.Reduct(nil), bare) {
 		t.Fatal("query evaluation changed the underlying document structure")
 	}
 }

@@ -9,12 +9,12 @@ import (
 	"repro/internal/xpath"
 )
 
-// RunFrozen executes prog against a frozen (immutable, shared) instance —
-// the zero-clone read path. Where Run consumes a private copy of the
-// instance, RunFrozen reads the base that every in-flight query of the
-// document shares and confines all writes to a pooled per-query overlay:
-// selections live in dense bitset columns, and the decompressing axes
-// append copy-on-write extension vertices instead of rebuilding the DAG.
+// RunFrozen executes prog against a frozen (immutable, shared) instance.
+// It never copies the instance: it reads the base that every in-flight
+// query of the document shares and confines all writes to a pooled
+// per-query overlay: selections live in dense bitset columns, and the
+// decompressing axes append copy-on-write extension vertices instead of
+// rebuilding the DAG.
 // Nothing is interned into the shared schema and no vertex of the base is
 // ever touched, so any number of RunFrozen calls may run concurrently
 // over one Frozen.
@@ -43,32 +43,8 @@ func RunFrozen(f *dag.Frozen, prog *xpath.Program) (*Result, error) {
 	return res, nil
 }
 
-// RunFrozenCount is RunFrozen for callers that only want cardinalities
-// (exists/count-shaped consumption): it computes the same selection and
-// counts but never detaches a view, so the overlay's column memory is
-// returned to the pool untouched and no result instance can be
-// materialized later. Result.View is nil.
-func RunFrozenCount(f *dag.Frozen, prog *xpath.Program) (*Result, error) {
-	res := &Result{
-		VertsBefore: f.NumVertices(),
-		EdgesBefore: f.NumEdges(),
-	}
-
-	ov := dag.AcquireOverlay(f)
-	defer ov.Release()
-	if err := runOverlay(ov, prog); err != nil {
-		return nil, err
-	}
-
-	res.VertsAfter, res.EdgesAfter = ov.LiveCounts()
-	res.SelectedDAG = ov.CountCol(prog.Result)
-	res.SelectedTree = ov.SelectedTree(prog.Result)
-	res.Label = label.Invalid
-	return res, nil
-}
-
 // runOverlay dispatches the program's instructions over an acquired
-// overlay — the shared core of RunFrozen and RunFrozenCount.
+// overlay.
 func runOverlay(ov *dag.Overlay, prog *xpath.Program) error {
 	// Two spare columns beyond the program's registers for the composed
 	// axes (following, preceding).

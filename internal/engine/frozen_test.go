@@ -2,14 +2,13 @@ package engine_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/corpus"
 	"repro/internal/dag"
 	"repro/internal/dagtest"
-	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
 )
@@ -26,59 +25,12 @@ func buildFor(t *testing.T, doc []byte, prog *xpath.Program) *dag.Instance {
 	return inst
 }
 
-// compareCloneOverlay runs prog both ways on inst and fails on any
-// divergence: the Figure 7 statistics, the full result address list, and
-// the materialized overlay instance's structural invariants.
-func compareCloneOverlay(t *testing.T, inst *dag.Instance, prog *xpath.Program, ctx string) {
-	t.Helper()
-	f := dag.Freeze(inst)
+// allPaths bounds the result paths the golden tests compare with the
+// baseline: every one of their documents' results.
+const allPaths = 1 << 20
 
-	clone, err := engine.Run(inst.Clone(), prog)
-	if err != nil {
-		t.Fatalf("%s: clone run: %v", ctx, err)
-	}
-	overlay, err := engine.RunFrozen(f, prog)
-	if err != nil {
-		t.Fatalf("%s: overlay run: %v", ctx, err)
-	}
-
-	if clone.SelectedDAG != overlay.SelectedDAG ||
-		clone.SelectedTree != overlay.SelectedTree {
-		t.Fatalf("%s: selection diverges: clone (%d dag, %d tree) vs overlay (%d dag, %d tree)",
-			ctx, clone.SelectedDAG, clone.SelectedTree, overlay.SelectedDAG, overlay.SelectedTree)
-	}
-	if clone.VertsBefore != overlay.VertsBefore || clone.EdgesBefore != overlay.EdgesBefore ||
-		clone.VertsAfter != overlay.VertsAfter || clone.EdgesAfter != overlay.EdgesAfter {
-		t.Fatalf("%s: sizes diverge: clone %d/%d -> %d/%d vs overlay %d/%d -> %d/%d",
-			ctx, clone.VertsBefore, clone.EdgesBefore, clone.VertsAfter, clone.EdgesAfter,
-			overlay.VertsBefore, overlay.EdgesBefore, overlay.VertsAfter, overlay.EdgesAfter)
-	}
-
-	const maxPaths = 1 << 20
-	clonePaths := dag.SelectedPaths(clone.Instance, clone.Label, maxPaths)
-	viewPaths := overlay.View.Paths(maxPaths)
-	if !reflect.DeepEqual(clonePaths, viewPaths) {
-		t.Fatalf("%s: paths diverge:\nclone:   %v\noverlay: %v", ctx, clonePaths, viewPaths)
-	}
-
-	mat, lbl := overlay.Materialize()
-	if err := mat.Validate(); err != nil {
-		t.Fatalf("%s: materialized overlay result invalid: %v", ctx, err)
-	}
-	if got := mat.CountSelected(lbl); got != overlay.SelectedDAG {
-		t.Fatalf("%s: materialized selection %d, view %d", ctx, got, overlay.SelectedDAG)
-	}
-	if got := mat.CountSelectedTree(lbl); got != overlay.SelectedTree {
-		t.Fatalf("%s: materialized tree selection %d, view %d", ctx, got, overlay.SelectedTree)
-	}
-	matPaths := dag.SelectedPaths(mat, lbl, maxPaths)
-	if !reflect.DeepEqual(clonePaths, matPaths) {
-		t.Fatalf("%s: materialized paths diverge:\nclone:        %v\nmaterialized: %v", ctx, clonePaths, matPaths)
-	}
-}
-
-// TestOverlayGoldenCorpora is the golden overlay-vs-clone equality sweep:
-// every corpus × every query, on compressed instances distilled over each
+// TestOverlayGoldenCorpora is the golden overlay-vs-baseline sweep: every
+// corpus × every query, on compressed instances distilled over each
 // query's schema.
 func TestOverlayGoldenCorpora(t *testing.T) {
 	for _, c := range corpus.Catalog() {
@@ -89,7 +41,7 @@ func TestOverlayGoldenCorpora(t *testing.T) {
 				t.Fatalf("%s Q%d: %v", c.Name, qi+1, err)
 			}
 			inst := buildFor(t, doc, prog)
-			compareCloneOverlay(t, inst, prog, c.Name+" Q"+string(rune('1'+qi)))
+			enginetest.Run(t, c.Name+" Q"+string(rune('1'+qi)), doc, inst, prog, allPaths)
 		}
 	}
 }
@@ -111,7 +63,7 @@ func TestOverlayGoldenFullTag(t *testing.T) {
 			if len(prog.Strings) > 0 {
 				continue // string marks are absent from a pure tag instance
 			}
-			compareCloneOverlay(t, inst, prog, c.Name+" full-tag Q"+string(rune('1'+qi)))
+			enginetest.Run(t, c.Name+" full-tag Q"+string(rune('1'+qi)), doc, inst, prog, allPaths)
 		}
 	}
 }
@@ -151,7 +103,7 @@ func TestOverlayAxes(t *testing.T) {
 			t.Fatalf("%q: %v", q, err)
 		}
 		inst := buildFor(t, doc, prog)
-		compareCloneOverlay(t, inst, prog, q)
+		enginetest.Run(t, q, doc, inst, prog, allPaths)
 	}
 }
 
@@ -187,13 +139,13 @@ func TestOverlayRewriteRegressions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		compareCloneOverlay(t, buildFor(t, big, prog), prog, q+" (large)")
-		compareCloneOverlay(t, buildFor(t, doc, prog), prog, q)
+		enginetest.Run(t, q+" (large)", big, buildFor(t, big, prog), prog, allPaths)
+		enginetest.Run(t, q, doc, buildFor(t, doc, prog), prog, allPaths)
 	}
 }
 
-// TestOverlayPropertyRandom cross-checks clone and overlay evaluation on
-// random trees and random queries.
+// TestOverlayPropertyRandom cross-checks overlay evaluation against the
+// baseline on random trees and random queries.
 func TestOverlayPropertyRandom(t *testing.T) {
 	tags := []string{"t0", "t1", "t2"}
 	words := []string{"alpha", "beta", "veto"}
@@ -213,7 +165,7 @@ func TestOverlayPropertyRandom(t *testing.T) {
 				t.Logf("build %q: %v", q, err)
 				return false
 			}
-			compareCloneOverlay(t, inst, prog, q+" on "+string(doc))
+			enginetest.Run(t, q+" on "+string(doc), doc, inst, prog, allPaths)
 		}
 		return true
 	}

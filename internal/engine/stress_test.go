@@ -5,8 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
-	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
 )
@@ -34,10 +33,7 @@ func TestManySchemaLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(inst, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := enginetest.Run(t, "//tag149", doc, inst, prog, runPaths)
 	if res.SelectedTree != 1 {
 		t.Fatalf("selected %d, want 1", res.SelectedTree)
 	}
@@ -109,10 +105,7 @@ func TestHugeSiblingRun(t *testing.T) {
 	if inst.NumVertices() > 5 {
 		t.Fatalf("instance has %d vertices; run should collapse", inst.NumVertices())
 	}
-	res, err := engine.Run(inst, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := enginetest.Run(t, "following-sibling run", doc, inst, prog, runPaths)
 	if res.SelectedTree != n {
 		t.Fatalf("selected %d, want %d", res.SelectedTree, n)
 	}
@@ -132,10 +125,7 @@ func TestHugeSiblingRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := engine.Run(inst2, prog2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := enginetest.Run(t, "preceding-sibling run", doc, inst2, prog2, runPaths)
 	if res2.SelectedTree != 1 {
 		t.Fatalf("first-of-run selected %d, want 1", res2.SelectedTree)
 	}
@@ -145,7 +135,7 @@ func TestHugeSiblingRun(t *testing.T) {
 }
 
 // TestWideRandomAgreement runs a couple of heavier differential rounds on
-// larger random documents than the quick-check default.
+// larger documents than the quick-check default.
 func TestWideRandomAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy differential round")
@@ -167,21 +157,7 @@ func TestWideRandomAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Run(inst, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := baseline.Build(doc, prog.Strings)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel, err := baseline.Eval(tree, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SelectedTree != uint64(baseline.Count(sel)) {
-			t.Errorf("%s: engine %d != baseline %d", q, res.SelectedTree, baseline.Count(sel))
-		}
+		enginetest.Run(t, q, doc, inst, prog, runPaths)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/corpus"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
@@ -99,6 +100,8 @@ func Fig7(sizeScale float64, seed uint64) ([]Fig7Row, error) {
 }
 
 // RunQuery evaluates one query on one document, reporting a Figure 7 row.
+// Its evaluation time covers freezing the fresh per-query instance as well
+// as running the program on it.
 func RunQuery(corpusName string, qnum int, query string, doc []byte) (Fig7Row, error) {
 	prog, err := xpath.CompileQuery(query)
 	if err != nil {
@@ -113,7 +116,7 @@ func RunQuery(corpusName string, qnum int, query string, doc []byte) (Fig7Row, e
 	}
 	parse := time.Since(t0)
 	t1 := time.Now()
-	res, err := engine.Run(inst, prog)
+	res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 	if err != nil {
 		return Fig7Row{}, fmt.Errorf("%s Q%d: %w", corpusName, qnum, err)
 	}
@@ -192,17 +195,17 @@ func growthPoint(doc []byte, k int, query string) (GrowthPoint, error) {
 	if err != nil {
 		return GrowthPoint{}, err
 	}
-	before := inst.NumVertices()
-	res, err := engine.Run(inst, prog)
+	f := dag.Freeze(inst)
+	res, err := engine.RunFrozen(f, prog)
 	if err != nil {
 		return GrowthPoint{}, err
 	}
 	return GrowthPoint{
 		Steps:       k,
 		Query:       query,
-		VertsBefore: before,
-		VertsAfter:  res.Instance.NumVertices(),
-		TreeSize:    res.Instance.TreeSize(),
+		VertsBefore: res.VertsBefore,
+		VertsAfter:  res.VertsAfter,
+		TreeSize:    f.TreeSize(),
 	}, nil
 }
 
@@ -234,7 +237,8 @@ type VsBaselineRow struct {
 }
 
 // VsBaseline measures pure evaluation time (excluding parsing) of both
-// engines across the catalog.
+// engines across the catalog. The compressed engine's time covers
+// freezing its fresh per-query instance as well as the evaluation.
 func VsBaseline(sizeScale float64, seed uint64) ([]VsBaselineRow, error) {
 	var rows []VsBaselineRow
 	for _, c := range corpus.Catalog() {
@@ -254,7 +258,7 @@ func VsBaseline(sizeScale float64, seed uint64) ([]VsBaselineRow, error) {
 				return nil, err
 			}
 			t0 := time.Now()
-			res, err := engine.Run(inst, prog)
+			res, err := engine.RunFrozen(dag.Freeze(inst), prog)
 			if err != nil {
 				return nil, err
 			}

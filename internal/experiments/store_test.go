@@ -51,3 +51,26 @@ func TestStoreSweepRejectsBadArgs(t *testing.T) {
 		t.Fatal("empty worker counts accepted")
 	}
 }
+
+// TestParallelSweepConsistency: the store sweep's worker-count sweep
+// selects the same nodes at every worker count and cache budget, and
+// every row is well formed.
+func TestParallelSweepConsistency(t *testing.T) {
+	rows, err := experiments.StoreSweep("DBLP", 3, 0.02, 1, []int{1, 2, 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5*3 {
+		t.Fatalf("got %d rows, want %d", len(rows), 5*3)
+	}
+	byQuery := map[int]uint64{}
+	for _, r := range rows {
+		if r.Docs != 3 || r.StoreWall <= 0 || r.Speedup <= 0 {
+			t.Fatalf("malformed row %+v", r)
+		}
+		if prev, ok := byQuery[r.Query]; ok && prev != r.SelectedTree {
+			t.Errorf("Q%d: selection varies with the worker count (%d vs %d)", r.Query, prev, r.SelectedTree)
+		}
+		byQuery[r.Query] = r.SelectedTree
+	}
+}

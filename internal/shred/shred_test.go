@@ -2,6 +2,7 @@ package shred_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/dagtest"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/shred"
 	"repro/internal/skeleton"
 	"repro/internal/xpath"
@@ -166,7 +168,8 @@ func TestChunksPersistIndependently(t *testing.T) {
 }
 
 // TestShreddedQueriesMatchDirect runs the corpus query suite through
-// shredded storage.
+// shredded storage, checking it against the baseline evaluator and the
+// directly built instance.
 func TestShreddedQueriesMatchDirect(t *testing.T) {
 	for _, name := range []string{"DBLP", "OMIM"} {
 		c, err := corpus.ByName(name)
@@ -190,15 +193,12 @@ func TestShreddedQueriesMatchDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := engine.Run(assembled, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := enginetest.Run(t, fmt.Sprintf("%s Q%d shredded", name, qi+1), doc, assembled, prog, 1<<10)
 			directInst, _, err := skeleton.BuildCompressed(doc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := engine.Run(directInst, prog)
+			want, err := engine.RunFrozen(dag.Freeze(directInst), prog)
 			if err != nil {
 				t.Fatal(err)
 			}
